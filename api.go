@@ -210,8 +210,13 @@ type Config struct {
 	// per-trial data out (JSONL, another machine, live dashboards) instead
 	// of keeping only the aggregate. Single runs via Run do not use it.
 	ResultSink ResultSink
-	// UseGoroutines runs the goroutine-per-process runtime instead of the
-	// deterministic in-loop engine. Both produce identical executions.
+	// UseGoroutines only tags streamed records: it is kept in their
+	// parameters (the "goroutines" key), so recordings made with it keep
+	// their fingerprints and still merge, resume, and replay. Execution and
+	// the Report are identical either way.
+	//
+	// Deprecated: every run executes on the engine; the flag has no effect
+	// on execution.
 	UseGoroutines bool
 	// DeliveryWorkers shards each round's delivery inner loop across up to
 	// this many goroutines — intra-run parallelism for large networks,

@@ -67,7 +67,10 @@ func TestDomainDefaultsToMaxValue(t *testing.T) {
 	}
 }
 
-func TestGoroutineRuntimeMatchesEngine(t *testing.T) {
+// TestUseGoroutinesLeavesReportUnchanged: the deprecated UseGoroutines flag
+// only tags records, so a run with it set reports exactly what the same run
+// without it reports — rounds, decisions, and the recorded execution.
+func TestUseGoroutinesLeavesReportUnchanged(t *testing.T) {
 	base := Config{
 		Algorithm: AlgorithmBitByBit,
 		Values:    []Value{4, 9, 2},
@@ -78,19 +81,29 @@ func TestGoroutineRuntimeMatchesEngine(t *testing.T) {
 		Stable:    8,
 		Seed:      5,
 	}
-	eng, err := base.Run()
+	plain, err := base.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gor := base
-	gor.UseGoroutines = true
-	rt, err := gor.Run()
+	tagged := base
+	tagged.UseGoroutines = true
+	got, err := tagged.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Rounds != rt.Rounds || eng.Agreed != rt.Agreed {
-		t.Fatalf("engine (%d rounds, %d) != runtime (%d rounds, %d)",
-			eng.Rounds, eng.Agreed, rt.Rounds, rt.Agreed)
+	if got.Rounds != plain.Rounds || got.Agreed != plain.Agreed || got.Decided != plain.Decided ||
+		!reflect.DeepEqual(got.Decisions, plain.Decisions) {
+		t.Fatalf("UseGoroutines changed the report: %+v, want %+v", got, plain)
+	}
+	var pj, gj strings.Builder
+	if err := plain.Execution.WriteJSON(&pj); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Execution.WriteJSON(&gj); err != nil {
+		t.Fatal(err)
+	}
+	if pj.String() != gj.String() {
+		t.Fatal("UseGoroutines changed the recorded execution")
 	}
 }
 

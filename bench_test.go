@@ -14,7 +14,7 @@ package adhocconsensus
 import (
 	"fmt"
 	"io"
-	stdruntime "runtime"
+	"runtime"
 	"testing"
 
 	"adhocconsensus/internal/core"
@@ -25,7 +25,6 @@ import (
 	"adhocconsensus/internal/model"
 	"adhocconsensus/internal/multiset"
 	"adhocconsensus/internal/replay"
-	"adhocconsensus/internal/runtime"
 	"adhocconsensus/internal/sim"
 	"adhocconsensus/internal/sink"
 	"adhocconsensus/internal/valueset"
@@ -128,7 +127,7 @@ func sweepParallelScenarios() []sim.Scenario {
 func BenchmarkSweepParallel(b *testing.B) {
 	scenarios := sweepParallelScenarios()
 	workerCounts := []int{1}
-	if w := stdruntime.GOMAXPROCS(0); w > 1 {
+	if w := runtime.GOMAXPROCS(0); w > 1 {
 		if w > 4 {
 			workerCounts = append(workerCounts, 4)
 		}
@@ -254,26 +253,15 @@ func BenchmarkReplayRender(b *testing.B) {
 // GOMAXPROCS >= 4). ReportAllocs tracks the allocation budget per run (256
 // rounds), so allocs/op ÷ 256 is the steady-state allocs/round.
 func BenchmarkEngineRoundThroughput(b *testing.B) {
-	benchRoundMatrix(b, false, []int{8, 64, 256, 1024})
-}
-
-// BenchmarkRuntimeRoundThroughput is the goroutine runtime counterpart,
-// quantifying the cost of the channel barrier per round.
-func BenchmarkRuntimeRoundThroughput(b *testing.B) {
-	benchRoundMatrix(b, true, []int{8, 1024})
-}
-
-func benchRoundMatrix(b *testing.B, goroutines bool, sizes []int) {
-	b.Helper()
 	workerCounts := []int{1}
-	if w := stdruntime.GOMAXPROCS(0); w > 1 {
+	if w := runtime.GOMAXPROCS(0); w > 1 {
 		workerCounts = append(workerCounts, w)
 	} else {
 		// Single-core host: w=2 still exercises the sharded path and prices
 		// its barrier; the wall-clock win needs real parallelism.
 		workerCounts = append(workerCounts, 2)
 	}
-	for _, n := range sizes {
+	for _, n := range []int{8, 64, 256, 1024} {
 		for _, tm := range []struct {
 			name string
 			mode engine.TraceMode
@@ -286,14 +274,14 @@ func benchRoundMatrix(b *testing.B, goroutines bool, sizes []int) {
 					continue // auto-off: would duplicate the w=1 measurement
 				}
 				b.Run(fmt.Sprintf("n=%d/%s/w=%d", n, tm.name, w), func(b *testing.B) {
-					benchRounds(b, goroutines, n, tm.mode, w)
+					benchRounds(b, n, tm.mode, w)
 				})
 			}
 		}
 	}
 }
 
-func benchRounds(b *testing.B, goroutines bool, n int, trace engine.TraceMode, workers int) {
+func benchRounds(b *testing.B, n int, trace engine.TraceMode, workers int) {
 	b.Helper()
 	const roundsPerRun = 256
 	d := valueset.MustDomain(1 << 16)
@@ -316,15 +304,7 @@ func benchRounds(b *testing.B, goroutines bool, n int, trace engine.TraceMode, w
 			Trace:           trace,
 			DeliveryWorkers: workers,
 		}
-		var (
-			res *engine.Result
-			err error
-		)
-		if goroutines {
-			res, err = runtime.Run(cfg)
-		} else {
-			res, err = engine.Run(cfg)
-		}
+		res, err := engine.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

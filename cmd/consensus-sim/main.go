@@ -49,7 +49,6 @@ func run(args []string, out io.Writer) error {
 	var (
 		trace    = fs.Bool("trace", false, "print the full execution trace")
 		jsonOut  = fs.Bool("json", false, "dump the execution as JSON to stdout")
-		gor      = fs.Bool("goroutines", false, "run the goroutine-per-process runtime")
 		trials   = fs.Int("trials", 1, "run this many independently seeded trials and print aggregate stats")
 		parallel = fs.Int("parallel", 0, "worker-pool size for -trials (0 = GOMAXPROCS)")
 	)
@@ -61,7 +60,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg.UseGoroutines = *gor
 
 	if *trials > 1 {
 		if *trace || *jsonOut {

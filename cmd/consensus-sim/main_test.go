@@ -37,7 +37,6 @@ func TestRunFlagVariants(t *testing.T) {
 		{"-values", "1,2", "-backoff", "-rounds", "5000"},
 		{"-values", "1,2", "-trace"},
 		{"-values", "1,2", "-json"},
-		{"-values", "1,2", "-goroutines"},
 		{"-values", "3,7,7,1", "-loss", "prob", "-p", "0.4", "-trials", "20"},
 		{"-values", "3,7,7,1", "-trials", "8", "-parallel", "2"},
 	}

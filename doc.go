@@ -42,10 +42,10 @@
 // allocation, because every experiment table drives thousands of full
 // executions through it:
 //
-//   - dense process state: the engine and the goroutine runtime index all
-//     per-process bookkeeping (crash schedule, contention advice,
-//     broadcasts, halted/decided flags) by a sorted process table built
-//     once per run — no per-round maps;
+//   - dense process state: the engine indexes all per-process
+//     bookkeeping (crash schedule, contention advice, broadcasts,
+//     halted/decided flags) by a sorted process table built once per
+//     run — no per-round maps;
 //   - compact multisets: receive sets use a slice-backed small
 //     representation (spilling to a map past 16 distinct messages) with
 //     in-place Reset/UnionInto, and are recycled through a sync.Pool
@@ -132,7 +132,7 @@
 //     At(key, i) of its index. A receiver's loss row can therefore be
 //     filled at any time, in any order, by any worker — which is what
 //     lets the delivery pool fill the plan in shards — and the result is
-//     byte-identical at every worker count, goroutine runtime included.
+//     byte-identical at every worker count.
 //
 // The schedule version is part of a recording's identity: sim.Scenario
 // and sink.Params carry it, fingerprints differ between versions (v1

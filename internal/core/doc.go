@@ -19,7 +19,7 @@
 //     gated instances.
 //
 // All four are implementations of model.Automaton and model.Decider and run
-// under internal/engine or internal/runtime. They are deterministic and —
+// under internal/engine. They are deterministic and —
 // except for NonAnon — anonymous in the formal sense of Definition 3: every
 // process runs the identical automaton, differing only in its initial
 // value.

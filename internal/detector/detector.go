@@ -216,7 +216,7 @@ type Behavior interface {
 
 // ConcurrentBehavior marks behaviors whose Choose is pure: stateless and a
 // function of its arguments alone, so calls may run concurrently and in any
-// order with identical results. The engines' parallel delivery core only
+// order with identical results. The engine's parallel delivery core only
 // engages for detectors whose behavior carries this marker — order-dependent
 // behaviors (Noisy's sequential RNG draws, bespoke Funcs) silently fall back
 // to the sequential path, keeping executions byte-identical.

@@ -26,7 +26,7 @@ type Calibration struct {
 	// per-round barrier cost.
 	MinProcs int
 	// BarrierNs is the measured cost of one dispatch+join cycle of a
-	// Workers-wide ShardPool, in nanoseconds.
+	// Workers-wide shardPool, in nanoseconds.
 	BarrierNs float64
 	// StepNs is the measured cost of one receiver's share of a round
 	// (a counter-stream loss row), in nanoseconds.
@@ -99,7 +99,7 @@ func measureCalibration() Calibration {
 
 // measureBarrier times an empty dispatch+join cycle of a workers-wide pool.
 func measureBarrier(workers int) float64 {
-	pool := NewShardPool(workers, func(int, int) {})
+	pool := newShardPool(workers, func(int, int) {})
 	defer pool.Close()
 	for i := 0; i < 8; i++ {
 		pool.Run(workers) // warm up scheduling and the worker goroutines

@@ -6,9 +6,7 @@
 // environment itself.
 //
 // The engine is strictly deterministic: the same configuration (including
-// adversary and detector seeds) always yields the same execution. The
-// companion package runtime runs the identical model with one goroutine per
-// process and is equivalence-tested against this engine.
+// adversary and detector seeds) always yields the same execution.
 //
 // # Hot path
 //
@@ -148,7 +146,7 @@ func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
 // NewPanicError wraps a recovered panic value, capturing the current stack.
 // A value that already is a *PanicError (a panic re-raised across a worker
-// boundary, e.g. by ShardPool) passes through unchanged so the original
+// boundary, e.g. by shardPool) passes through unchanged so the original
 // stack survives.
 func NewPanicError(v any) *PanicError {
 	if pe, ok := v.(*PanicError); ok {
@@ -235,13 +233,12 @@ func newRunState(cfg *Config) *runState {
 // pooled set.
 var recvPool = sync.Pool{New: func() any { return multiset.New[model.Message]() }}
 
-// ResolveDeliveryWorkers resolves the effective worker count for a run's
+// resolveDeliveryWorkers resolves the effective worker count for a run's
 // delivery loop: 1 (sequential) unless the configuration opts in, the
 // system is at least the auto-off threshold, and both the detector and the
 // adversary are order-independent — the conditions under which the sharded
-// loop is provably byte-identical to the sequential one. The runtime
-// package applies the identical rule.
-func ResolveDeliveryWorkers(cfg *Config, n int, det *detector.Detector, adversary loss.Adversary) int {
+// loop is provably byte-identical to the sequential one.
+func resolveDeliveryWorkers(cfg *Config, n int, det *detector.Detector, adversary loss.Adversary) int {
 	w := cfg.DeliveryWorkers
 	if w == DeliveryWorkersAuto {
 		w = Calibrate().Workers
@@ -293,7 +290,7 @@ func Run(cfg Config) (*Result, error) {
 	traceFull := cfg.Trace == TraceFull
 
 	exec := model.NewExecution(st.procs, cfg.Initial)
-	workers := ResolveDeliveryWorkers(&cfg, len(st.procs), det, adversary)
+	workers := resolveDeliveryWorkers(&cfg, len(st.procs), det, adversary)
 	parallel := workers > 1
 	var arena *model.TraceArena
 	if traceFull {
@@ -415,12 +412,12 @@ func Run(cfg Config) (*Result, error) {
 		phasePlan
 	)
 	phase := phaseDeliver
-	var pool *ShardPool
+	var pool *shardPool
 	var shardedAdv loss.ShardedPlanner
 	if parallel {
 		st.msgs = make([]*model.Message, len(st.procs))
 		shardedAdv, _ = adversary.(loss.ShardedPlanner)
-		pool = NewShardPool(workers, func(lo, hi int) {
+		pool = newShardPool(workers, func(lo, hi int) {
 			switch phase {
 			case phaseMessage:
 				genMessages(lo, hi)

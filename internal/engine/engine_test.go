@@ -1,14 +1,17 @@
 package engine
 
 import (
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 
 	"adhocconsensus/internal/cm"
+	"adhocconsensus/internal/core"
 	"adhocconsensus/internal/detector"
 	"adhocconsensus/internal/loss"
 	"adhocconsensus/internal/model"
+	"adhocconsensus/internal/valueset"
 )
 
 // beacon broadcasts est(value) every round it is active and records what it
@@ -455,13 +458,32 @@ func traceConfig(trace TraceMode) Config {
 
 // TestTraceDecisionsOnlyMatchesFull requires decisions-only runs to produce
 // exactly the decisions, round counts, and AllDecided verdicts of full
-// traces, while recording no per-round views.
+// traces, while recording no per-round views — on the stub system and on
+// every real-algorithm system, whose full traces must also satisfy the
+// consensus properties and mark every scheduled crash.
 func TestTraceDecisionsOnlyMatchesFull(t *testing.T) {
-	full, err := Run(traceConfig(TraceFull))
+	requireDecisionsOnlyMatchesFull(t, traceConfig)
+	for _, sys := range coreSystems {
+		t.Run(sys.name, func(t *testing.T) {
+			full := requireDecisionsOnlyMatchesFull(t, func(trace TraceMode) Config {
+				cfg := sys.build(false)
+				cfg.Trace = trace
+				return cfg
+			})
+			requireConsensus(t, full, sys.build(false).Crashes)
+		})
+	}
+}
+
+// requireDecisionsOnlyMatchesFull runs cfgAt in both trace modes, checks
+// that they agree, and returns the full-trace result.
+func requireDecisionsOnlyMatchesFull(t *testing.T, cfgAt func(TraceMode) Config) *Result {
+	t.Helper()
+	full, err := Run(cfgAt(TraceFull))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Run(traceConfig(TraceDecisionsOnly))
+	dec, err := Run(cfgAt(TraceDecisionsOnly))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,6 +509,31 @@ func TestTraceDecisionsOnlyMatchesFull(t *testing.T) {
 	}
 	if err := full.Execution.Validate(); err != nil {
 		t.Fatalf("full execution invalid: %v", err)
+	}
+	return full
+}
+
+// requireConsensus checks a full-trace run of real consensus automata:
+// every live process decided, agreement, strong validity, and termination
+// hold, and each process scheduled to crash within the executed prefix
+// shows a crashed view the round after its crash round.
+func requireConsensus(t *testing.T, res *Result, crashes model.Schedule) {
+	t.Helper()
+	if !res.AllDecided {
+		t.Fatal("not all processes decided")
+	}
+	for _, err := range []error{CheckAgreement(res), CheckStrongValidity(res), CheckTermination(res, crashes)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id, c := range crashes {
+		if c.Round >= res.Rounds {
+			continue
+		}
+		if v, ok := res.Execution.View(id, c.Round+1); !ok || !v.Crashed {
+			t.Fatalf("process %d crashed in round %d but its round-%d view is not marked crashed", id, c.Round, c.Round+1)
+		}
 	}
 }
 
@@ -671,8 +718,10 @@ func TestReleaseClosesTraceAllocations(t *testing.T) {
 	full := measure(TraceFull, true)
 	// DecidedValues allocates its result map either way; the only allowed
 	// full-trace overhead is Validate's reusable scratch multiset (a handful
-	// of fixed allocations, not proportional to the trace).
-	if full > dec+6 {
+	// of fixed allocations, not proportional to the trace). The race
+	// detector makes sync.Pool drop a share of puts on purpose, so there the
+	// count measures the detector rather than the arena recycling.
+	if !raceEnabled && full > dec+6 {
 		t.Fatalf("full trace with Release costs %.0f allocs/run vs %.0f decisions-only: arena not recycled", full, dec)
 	}
 	withoutRelease := measure(TraceFull, false)
@@ -762,76 +811,122 @@ func parallelConfig(n int, trace TraceMode, workers int) Config {
 	}
 }
 
-// TestParallelDeliveryMatchesSequential requires the sharded delivery loop
-// to produce byte-identical results to the sequential path at every worker
-// count, in both trace modes, under crashes and message loss.
-func TestParallelDeliveryMatchesSequential(t *testing.T) {
-	for _, trace := range []TraceMode{TraceFull, TraceDecisionsOnly} {
-		name := map[TraceMode]string{TraceFull: "full", TraceDecisionsOnly: "decisions"}[trace]
-		t.Run(name, func(t *testing.T) {
-			seq, err := Run(parallelConfig(9, trace, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 3, 8, 32} {
-				par, err := Run(parallelConfig(9, trace, workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if par.Rounds != seq.Rounds || par.AllDecided != seq.AllDecided {
-					t.Fatalf("workers=%d: rounds/AllDecided = %d/%v, sequential %d/%v",
-						workers, par.Rounds, par.AllDecided, seq.Rounds, seq.AllDecided)
-				}
-				if len(par.Decisions) != len(seq.Decisions) {
-					t.Fatalf("workers=%d: %d decisions, sequential %d", workers, len(par.Decisions), len(seq.Decisions))
-				}
-				for id, d := range seq.Decisions {
-					if par.Decisions[id] != d {
-						t.Fatalf("workers=%d: process %d decided %v, sequential %v", workers, id, par.Decisions[id], d)
-					}
-				}
-				if trace == TraceFull {
-					for _, id := range seq.Execution.Procs {
-						if !seq.Execution.IndistinguishableTo(par.Execution, id, seq.Rounds) {
-							t.Fatalf("workers=%d: process %d distinguishes parallel from sequential trace", workers, id)
-						}
-					}
-					var sb, pb strings.Builder
-					if err := seq.Execution.WriteJSON(&sb); err != nil {
-						t.Fatal(err)
-					}
-					if err := par.Execution.WriteJSON(&pb); err != nil {
-						t.Fatal(err)
-					}
-					if sb.String() != pb.String() {
-						t.Fatalf("workers=%d: parallel trace export differs from sequential", workers)
-					}
-				}
-			}
-		})
+// coreSystems are the real-algorithm inputs of the equivalence tables,
+// next to their stub automata: Alg 1/2/3 with noisy detectors, capture
+// loss, and crash schedules. build returns a fresh, identically seeded
+// system on every call (automata, detectors, and adversaries are stateful)
+// and draws the loss from seed schedule v2 when v2 is set. The systems
+// with a Noisy detector are order-dependent, so asking them to shard must
+// fall back to the sequential loop with identical results; the others
+// really shard.
+var coreSystems = []struct {
+	name  string
+	build func(v2 bool) Config
+}{
+	{"alg1 noisy", func(v2 bool) Config { // noisy: random contention advice before CST
+		const seed = 11
+		return Config{
+			Procs:    map[model.ProcessID]model.Automaton{1: core.NewAlg1(7), 2: core.NewAlg1(3), 3: core.NewAlg1(5)},
+			Initial:  map[model.ProcessID]model.Value{1: 7, 2: 3, 3: 5},
+			Detector: detector.New(detector.MajOAC, detector.WithRace(6)),
+			CM:       cm.WakeUp{Stable: 6, Pre: cm.PreRandom(seed, 0.5)},
+			Loss:     loss.ECF{Base: probLoss(0.3, seed, v2), From: 6},
+		}
+	}},
+	{"alg2 noisy", func(v2 bool) Config {
+		const seed = 42
+		d := valueset.MustDomain(64)
+		return Config{
+			Procs: map[model.ProcessID]model.Automaton{
+				1: core.NewAlg2(d, 10), 2: core.NewAlg2(d, 50), 3: core.NewAlg2(d, 31), 4: core.NewAlg2(d, 10),
+			},
+			Initial: map[model.ProcessID]model.Value{1: 10, 2: 50, 3: 31, 4: 10},
+			Detector: detector.New(detector.ZeroOAC, detector.WithRace(9),
+				detector.WithBehavior(detector.Noisy{P: 0.3, Rng: rand.New(rand.NewSource(seed))})),
+			CM:        cm.WakeUp{Stable: 9},
+			Loss:      loss.ECF{Base: probLoss(0.4, seed, v2), From: 9},
+			MaxRounds: 300,
+		}
+	}},
+	{"alg3 capture with crash", func(v2 bool) Config {
+		const seed = 7
+		d := valueset.MustDomain(128)
+		capture := loss.NewCapture(0.4, 0.2, seed)
+		if v2 {
+			capture = loss.NewCaptureV2(0.4, 0.2, seed)
+		}
+		return Config{
+			Procs:     map[model.ProcessID]model.Automaton{1: core.NewAlg3(d, 3), 2: core.NewAlg3(d, 99), 3: core.NewAlg3(d, 64)},
+			Initial:   map[model.ProcessID]model.Value{1: 3, 2: 99, 3: 64},
+			Detector:  detector.New(detector.ZeroAC),
+			Loss:      capture,
+			Crashes:   model.Schedule{1: {Round: 9, Time: model.CrashAfterSend}},
+			MaxRounds: 500,
+		}
+	}},
+	{"alg2 multi-crash", func(v2 bool) Config {
+		const seed = 23
+		cfg := alg2CrashConfig(5, seed, v2)
+		cfg.Detector = detector.New(detector.ZeroOAC, detector.WithRace(7),
+			detector.WithBehavior(detector.Noisy{P: 0.25, Rng: rand.New(rand.NewSource(seed))}))
+		return cfg
+	}},
+	{"alg2 honest multi-crash", func(v2 bool) Config { return alg2CrashConfig(6, 23, v2) }},
+}
+
+// alg2CrashConfig is n Alg 2 processes under an honest detector and lossy
+// ECF channel, with crashes of both timings around stabilization — the
+// nastiest regime for crash bookkeeping.
+func alg2CrashConfig(n int, seed int64, v2 bool) Config {
+	d := valueset.MustDomain(64)
+	procs := make(map[model.ProcessID]model.Automaton, n)
+	initial := make(map[model.ProcessID]model.Value, n)
+	for p := 1; p <= n; p++ {
+		v := model.Value(p * 11 % 64)
+		procs[model.ProcessID(p)] = core.NewAlg2(d, v)
+		initial[model.ProcessID(p)] = v
+	}
+	return Config{
+		Procs:    procs,
+		Initial:  initial,
+		Detector: detector.New(detector.ZeroOAC, detector.WithRace(7)),
+		CM:       cm.WakeUp{Stable: 7},
+		Loss:     loss.ECF{Base: probLoss(0.3, seed, v2), From: 7},
+		Crashes: model.Schedule{
+			2: {Round: 3, Time: model.CrashBeforeSend},
+			4: {Round: 8, Time: model.CrashAfterSend},
+		},
+		MaxRounds: 300,
 	}
 }
 
-// pinCalibration overrides the host calibration for the test's duration so
-// threshold assertions do not depend on the machine running them.
-func pinCalibration(t *testing.T, c Calibration) {
-	t.Helper()
-	calibrationOverride.Store(&c)
-	t.Cleanup(func() { calibrationOverride.Store(nil) })
+// probLoss is the probabilistic channel under seed schedule v1 or v2.
+func probLoss(p float64, seed int64, v2 bool) loss.Adversary {
+	if v2 {
+		return loss.NewProbabilisticV2(p, seed)
+	}
+	return loss.NewProbabilistic(p, seed)
 }
 
-// TestScheduleV2ParallelMatchesSequential is the v2 half of the
-// equivalence suite: under the counter-based seed schedule the loss plan
-// and message generation shard across the pool alongside delivery, and the
-// result must still be byte-identical to the v2 sequential path at every
-// worker count — decisions AND full traces, with crashes in the schedule.
-func TestScheduleV2ParallelMatchesSequential(t *testing.T) {
-	cfgAt := func(trace TraceMode, workers int) Config {
-		cfg := parallelConfig(9, trace, workers)
-		cfg.Loss = loss.ECF{Base: loss.NewProbabilisticV2(0.35, 41), From: 9}
+// shardedAt adapts a core system to requireShardedMatchesSequential,
+// forcing the parallel path on however small the system is.
+func shardedAt(build func(v2 bool) Config, v2 bool) func(TraceMode, int) Config {
+	return func(trace TraceMode, workers int) Config {
+		cfg := build(v2)
+		cfg.Trace = trace
+		cfg.DeliveryWorkers = workers
+		cfg.DeliveryMinProcs = 1
 		return cfg
 	}
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
+}
+
+// requireShardedMatchesSequential runs cfgAt sequentially and at each
+// worker count, in both trace modes (one subtest each), and requires the
+// same rounds, AllDecided, and decisions everywhere; full traces must be
+// indistinguishable to every process and export byte-identically, and
+// decisions-only runs must record no views.
+func requireShardedMatchesSequential(t *testing.T, cfgAt func(TraceMode, int) Config, workerCounts []int) {
+	t.Helper()
 	for _, trace := range []TraceMode{TraceFull, TraceDecisionsOnly} {
 		name := map[TraceMode]string{TraceFull: "full", TraceDecisionsOnly: "decisions"}[trace]
 		t.Run(name, func(t *testing.T) {
@@ -848,24 +943,80 @@ func TestScheduleV2ParallelMatchesSequential(t *testing.T) {
 					t.Fatalf("workers=%d: rounds/AllDecided = %d/%v, sequential %d/%v",
 						workers, par.Rounds, par.AllDecided, seq.Rounds, seq.AllDecided)
 				}
+				if len(par.Decisions) != len(seq.Decisions) {
+					t.Fatalf("workers=%d: %d decisions, sequential %d", workers, len(par.Decisions), len(seq.Decisions))
+				}
 				for id, d := range seq.Decisions {
 					if par.Decisions[id] != d {
 						t.Fatalf("workers=%d: process %d decided %v, sequential %v", workers, id, par.Decisions[id], d)
 					}
 				}
-				if trace == TraceFull {
-					var sb, pb strings.Builder
-					if err := seq.Execution.WriteJSON(&sb); err != nil {
-						t.Fatal(err)
+				if trace != TraceFull {
+					if par.Execution.NumRounds() != 0 {
+						t.Fatalf("workers=%d: decisions-only run recorded %d rounds", workers, par.Execution.NumRounds())
 					}
-					if err := par.Execution.WriteJSON(&pb); err != nil {
-						t.Fatal(err)
-					}
-					if sb.String() != pb.String() {
-						t.Fatalf("workers=%d: v2 parallel trace export differs from v2 sequential", workers)
+					continue
+				}
+				for _, id := range seq.Execution.Procs {
+					if !seq.Execution.IndistinguishableTo(par.Execution, id, seq.Rounds) {
+						t.Fatalf("workers=%d: process %d distinguishes parallel from sequential trace", workers, id)
 					}
 				}
+				var sb, pb strings.Builder
+				if err := seq.Execution.WriteJSON(&sb); err != nil {
+					t.Fatal(err)
+				}
+				if err := par.Execution.WriteJSON(&pb); err != nil {
+					t.Fatal(err)
+				}
+				if sb.String() != pb.String() {
+					t.Fatalf("workers=%d: parallel trace export differs from sequential", workers)
+				}
 			}
+		})
+	}
+}
+
+// TestParallelDeliveryMatchesSequential requires the sharded delivery loop
+// to produce byte-identical results to the sequential path at every worker
+// count, in both trace modes, under crashes and message loss — on the stub
+// system and on every real-algorithm system.
+func TestParallelDeliveryMatchesSequential(t *testing.T) {
+	workerCounts := []int{2, 3, 8, 32}
+	requireShardedMatchesSequential(t, func(trace TraceMode, workers int) Config {
+		return parallelConfig(9, trace, workers)
+	}, workerCounts)
+	for _, sys := range coreSystems {
+		t.Run(sys.name, func(t *testing.T) {
+			requireShardedMatchesSequential(t, shardedAt(sys.build, false), workerCounts)
+		})
+	}
+}
+
+// pinCalibration overrides the host calibration for the test's duration so
+// threshold assertions do not depend on the machine running them.
+func pinCalibration(t *testing.T, c Calibration) {
+	t.Helper()
+	calibrationOverride.Store(&c)
+	t.Cleanup(func() { calibrationOverride.Store(nil) })
+}
+
+// TestScheduleV2ParallelMatchesSequential is the v2 half of the
+// equivalence suite: under the counter-based seed schedule the loss plan
+// and message generation shard across the pool alongside delivery, and the
+// result must still be byte-identical to the v2 sequential path at every
+// worker count — decisions AND full traces, with crashes in the schedule,
+// on the stub system and on every real-algorithm system.
+func TestScheduleV2ParallelMatchesSequential(t *testing.T) {
+	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
+	requireShardedMatchesSequential(t, func(trace TraceMode, workers int) Config {
+		cfg := parallelConfig(9, trace, workers)
+		cfg.Loss = loss.ECF{Base: loss.NewProbabilisticV2(0.35, 41), From: 9}
+		return cfg
+	}, workerCounts)
+	for _, sys := range coreSystems {
+		t.Run(sys.name, func(t *testing.T) {
+			requireShardedMatchesSequential(t, shardedAt(sys.build, true), workerCounts)
 		})
 	}
 }
@@ -924,7 +1075,7 @@ func TestResolveDeliveryWorkers(t *testing.T) {
 		{"auto resolves calibrated workers", Config{DeliveryWorkers: DeliveryWorkersAuto}, 256, honest, safeLoss, 4},
 		{"auto below calibrated threshold", Config{DeliveryWorkers: DeliveryWorkersAuto}, 63, honest, safeLoss, 1},
 	} {
-		if got := ResolveDeliveryWorkers(&tc.cfg, tc.n, tc.det, tc.adv); got != tc.want {
+		if got := resolveDeliveryWorkers(&tc.cfg, tc.n, tc.det, tc.adv); got != tc.want {
 			t.Errorf("%s: workers = %d, want %d", tc.name, got, tc.want)
 		}
 	}

@@ -1,29 +1,27 @@
 package engine
 
-// ShardPool runs one fixed function over contiguous index shards on a set
-// of persistent worker goroutines. The engines use it to split each round's
-// delivery loop across cores: the pool is created once per run (so round
-// dispatch allocates nothing), Run blocks until every shard completes (the
-// round barrier), and the shard boundaries depend only on (n, workers) —
-// combined with per-index-independent work functions this makes the
-// parallel rounds byte-identical to sequential ones at any worker count.
+// shardPool runs one fixed function over contiguous index shards on a set
+// of persistent worker goroutines. The engine's Run uses it to split each
+// round's message, loss-plan, and delivery phases across cores: the pool is
+// created once per run (so round dispatch allocates nothing), Run blocks
+// until every shard completes (the round barrier), and the shard boundaries
+// depend only on (n, workers) — combined with per-index-independent work
+// functions this makes the parallel rounds byte-identical to sequential
+// ones at any worker count.
 //
 // A panic inside fn (an automaton panicking mid-delivery) does not kill the
 // worker goroutine or deadlock the barrier: the worker recovers it, the
 // barrier still completes, and Run re-raises the panic as a *PanicError on
 // the dispatching goroutine — where the sweep layer's per-trial recovery
 // quarantines it like any same-goroutine panic.
-//
-// The runtime package shares this implementation so the two round loops
-// cannot drift apart.
-type ShardPool struct {
+type shardPool struct {
 	fn   func(lo, hi int)
 	req  []chan shard
 	done chan *PanicError
 
 	// runs and shards count barrier cycles and dispatched shard calls.
 	// They are owned by the dispatching goroutine (Run is single-caller by
-	// contract), so plain fields suffice; the engines publish them to
+	// contract), so plain fields suffice; the engine publishes them to
 	// telemetry at run end rather than paying atomics per round.
 	runs   uint64
 	shards uint64
@@ -31,14 +29,14 @@ type ShardPool struct {
 
 type shard struct{ lo, hi int }
 
-// NewShardPool starts `workers` goroutines that each execute fn over the
+// newShardPool starts `workers` goroutines that each execute fn over the
 // shards Run hands them. fn must be safe to call concurrently on disjoint
 // index ranges. Call Close to release the goroutines.
-func NewShardPool(workers int, fn func(lo, hi int)) *ShardPool {
+func newShardPool(workers int, fn func(lo, hi int)) *shardPool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &ShardPool{
+	p := &shardPool{
 		fn:   fn,
 		req:  make([]chan shard, workers),
 		done: make(chan *PanicError, workers),
@@ -57,7 +55,7 @@ func NewShardPool(workers int, fn func(lo, hi int)) *ShardPool {
 
 // call runs one shard, converting a panic into its barrier message. A nil
 // return is the common case and sends no allocation over the channel.
-func (p *ShardPool) call(s shard) (pe *PanicError) {
+func (p *shardPool) call(s shard) (pe *PanicError) {
 	defer func() {
 		if v := recover(); v != nil {
 			pe = NewPanicError(v)
@@ -73,7 +71,7 @@ func (p *ShardPool) call(s shard) (pe *PanicError) {
 // shard panicked, Run re-panics with the first worker's *PanicError after
 // the barrier — every other shard has finished, so no worker is still
 // touching shared round state when the panic unwinds.
-func (p *ShardPool) Run(n int) {
+func (p *shardPool) Run(n int) {
 	if n <= 0 {
 		return
 	}
@@ -107,12 +105,12 @@ func (p *ShardPool) Run(n int) {
 
 // Stats reports the barrier cycles run and shard calls dispatched so far.
 // Like Run, it must be called from the dispatching goroutine.
-func (p *ShardPool) Stats() (runs, shards uint64) {
+func (p *shardPool) Stats() (runs, shards uint64) {
 	return p.runs, p.shards
 }
 
 // Close shuts the worker goroutines down. The pool must be idle.
-func (p *ShardPool) Close() {
+func (p *shardPool) Close() {
 	for _, c := range p.req {
 		close(c)
 	}

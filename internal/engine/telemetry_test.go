@@ -51,7 +51,7 @@ func TestParallelRunPoolTelemetry(t *testing.T) {
 
 	procs := make(map[model.ProcessID]model.Automaton, 8)
 	for i := 0; i < 8; i++ {
-		procs[model.ProcessID(i + 1)] = &decideAfter{value: 1, round: 1}
+		procs[model.ProcessID(i+1)] = &decideAfter{value: 1, round: 1}
 	}
 	res, err := Run(Config{
 		Procs:            procs,

@@ -49,6 +49,10 @@ type Job struct {
 	// cancelRequested distinguishes an explicit Cancel from a drain when
 	// the running attempt comes back interrupted.
 	cancelRequested bool
+	// admitted is closed once Submit has journaled the job's admission (nil
+	// for jobs reloaded from a manifest), so that point never lands in the
+	// first attempt's events file.
+	admitted chan struct{}
 }
 
 // Status is the externally visible snapshot of a job, JSON-shaped for the

@@ -178,7 +178,7 @@ func (s *Supervisor) Submit(spec Spec) (Status, error) {
 		return st, nil
 	}
 	s.nextID++
-	j := &Job{ID: s.nextID, Spec: spec, Fingerprint: fp, State: StateQueued}
+	j := &Job{ID: s.nextID, Spec: spec, Fingerprint: fp, State: StateQueued, admitted: make(chan struct{})}
 	dup, evicted := s.q.push(j)
 	if dup != nil {
 		// Coalesced onto the queued duplicate: no new job exists.
@@ -203,6 +203,7 @@ func (s *Supervisor) Submit(spec Spec) (Status, error) {
 	if evictedID != 0 {
 		jal.PointJob(events.TypeEvict, evictedID, 0)
 	}
+	close(j.admitted)
 	s.persist()
 	s.kick()
 	return st, nil
@@ -357,6 +358,11 @@ func (s *Supervisor) runJob(j *Job) {
 		var exp *events.Export
 		var jspan uint64
 		if jal != nil {
+			if j.admitted != nil {
+				// The loop can pop a job before Submit has journaled its
+				// admission; that point belongs to the live stream only.
+				<-j.admitted
+			}
 			exp, _ = events.StartExport(jal, j.Spec.Out+".events.jsonl", j.ID)
 			if j.Attempts > 0 {
 				jal.PointJob(events.TypeRetry, j.ID, int64(j.Attempts))
@@ -367,67 +373,36 @@ func (s *Supervisor) runJob(j *Job) {
 		cancel()
 		code := cli.ExitCodeOf(err)
 
+		// Classify the attempt, but publish the outcome only after its
+		// journal is closed: a poller that sees the new state must find the
+		// per-attempt events file complete on disk.
 		s.mu.Lock()
-		s.running, s.cancelRun = nil, nil
-		j.Attempts++
-		j.ExitCode = code
-		j.Report = rep
-		if err != nil {
-			j.Err = err.Error()
-		} else {
-			j.Err = ""
-		}
+		attempts := j.Attempts + 1
+		var state State
 		switch {
 		case err == nil, code == cli.ExitTrial:
 			// The run completed — quarantined trials are recorded outcomes,
 			// not job failures; the shard file and report are whole.
-			j.State = StateDone
+			state = StateDone
 			m.Completed.Inc()
+		case code == cli.ExitInterrupt && j.cancelRequested:
+			state = StateCanceled
+			m.Canceled.Inc()
 		case code == cli.ExitInterrupt:
-			if j.cancelRequested {
-				j.State = StateCanceled
-				m.Canceled.Inc()
-			} else {
-				// A drain: the sweep flushed a durable prefix; the manifest
-				// re-admits this job on restart and Execute resumes it.
-				j.State = StateCheckpointed
-				m.Checkpointed.Inc()
-			}
-		case code == cli.ExitSink && j.Attempts < s.opts.attempts():
-			// Transient IO: back off and retry. The delay is observable and
-			// abortable — a drain arriving mid-wait checkpoints instead of
-			// holding shutdown hostage.
-			retry := j.Attempts - 1
-			d := w.Delay(retry)
-			j.State = StateQueued
-			s.mu.Unlock()
-			jal.EndJob(jspan, string(StateQueued))
-			_ = exp.Close()
-			s.persist()
-			m.Retries.Inc()
-			m.RetryDelayNs.Observe(uint64(d.Nanoseconds()))
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-				continue
-			case <-s.baseCtx.Done():
-				t.Stop()
-				s.mu.Lock()
-				j.State = StateCheckpointed
-				m.Checkpointed.Inc()
-				s.mu.Unlock()
-				jal.PointJob(events.TypeCheckpoint, j.ID, 0)
-				s.persist()
-				return
-			}
+			// A drain: the sweep flushed a durable prefix; the manifest
+			// re-admits this job on restart and Execute resumes it.
+			state = StateCheckpointed
+			m.Checkpointed.Inc()
+		case code == cli.ExitSink && attempts < s.opts.attempts():
+			// Transient IO: back off and retry (below).
+			state = StateQueued
 		default:
 			// Non-transient (reject, usage) or budget exhausted: quarantine.
 			// The job's error and report stay inspectable; its output file
 			// is untouched beyond the durable prefix.
-			j.State = StateQuarantined
+			state = StateQuarantined
 			m.Quarantined.Inc()
 		}
-		state := j.State
 		s.mu.Unlock()
 		switch state {
 		case StateCheckpointed:
@@ -437,8 +412,41 @@ func (s *Supervisor) runJob(j *Job) {
 		}
 		jal.EndJob(jspan, string(state))
 		_ = exp.Close()
+
+		s.mu.Lock()
+		s.running, s.cancelRun = nil, nil
+		j.Attempts = attempts
+		j.ExitCode = code
+		j.Report = rep
+		j.Err = ""
+		if err != nil {
+			j.Err = err.Error()
+		}
+		j.State = state
+		s.mu.Unlock()
 		s.persist()
-		return
+		if state != StateQueued {
+			return
+		}
+
+		// The delay is observable and abortable — a drain arriving mid-wait
+		// checkpoints instead of holding shutdown hostage.
+		d := w.Delay(attempts - 1)
+		m.Retries.Inc()
+		m.RetryDelayNs.Observe(uint64(d.Nanoseconds()))
+		t := time.NewTimer(d)
+		select {
+		case <-t.C:
+		case <-s.baseCtx.Done():
+			t.Stop()
+			jal.PointJob(events.TypeCheckpoint, j.ID, 0)
+			s.mu.Lock()
+			j.State = StateCheckpointed
+			m.Checkpointed.Inc()
+			s.mu.Unlock()
+			s.persist()
+			return
+		}
 	}
 }
 

@@ -31,7 +31,7 @@ type Adversary interface {
 // ConcurrentPlanner marks adversaries whose planned DeliveryFunc is safe for
 // concurrent calls: Plan itself is still invoked sequentially once per
 // round, but the returned func must be a pure read of the plan (no lazy
-// draws, no memoization writes). The engines' parallel delivery core only
+// draws, no memoization writes). The engine's parallel delivery core only
 // engages for adversaries carrying this marker; everything else (notably
 // bespoke Func closures) silently falls back to the sequential path.
 type ConcurrentPlanner interface {
@@ -61,7 +61,7 @@ func ConcurrentSafe(a Adversary) bool {
 // function plus the DeliveryFunc reading the finished plan:
 //
 //   - fill(lo, hi) draws the loss rows of receivers procs[lo:hi]. Distinct
-//     shards touch disjoint state, so the engines run fill concurrently
+//     shards touch disjoint state, so the engine runs fill concurrently
 //     over a partition of [0, len(procs)) — alongside the delivery shards'
 //     other per-receiver work — and consult fn only after every shard
 //     completes.
@@ -71,7 +71,7 @@ func ConcurrentSafe(a Adversary) bool {
 //     itself.
 //
 // PlanShards must be equivalent to Plan: calling fill(0, len(procs)) inline
-// yields the same plan Plan would have produced. The engines consult it
+// yields the same plan Plan would have produced. The engine consults it
 // only for adversaries that already pass the ConcurrentSafe gate; it is
 // deliberately not bundled with the ConcurrentPlanner marker so that
 // wrappers like ECF can forward sharding without asserting safety.

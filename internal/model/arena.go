@@ -37,7 +37,7 @@ type RecvEntry = multiset.Pair[Message]
 //   - Writer methods (BeginRound, RecordCell, FinishCellRecv) follow a strict
 //     protocol — rounds begin in order, RecordCell may run concurrently for
 //     distinct cells of the open row, FinishCellRecv runs sequentially in
-//     ascending cell order — and are for the engines; analysis code only
+//     ascending cell order — and are for the engine; analysis code only
 //     reads.
 type TraceArena struct {
 	n int // processes per round (cells per row)

@@ -9,7 +9,7 @@ import (
 )
 
 // arenaFixture builds the same 3-process, 3-round execution twice: once
-// through the TraceArena writer protocol (as the engines record it) and
+// through the TraceArena writer protocol (as the engine records it) and
 // once as a hand-built legacy map execution. Round 2 crashes process 2, so
 // the fixture covers crash cells, silent processes, lost messages, and
 // multi-copy receive sets.

@@ -228,9 +228,7 @@ func (s Schedule) CrashedForDeliver(id ProcessID, r int) bool {
 
 // DenseSchedule is a crash schedule compiled against a sorted process
 // table: the simulation hot loops consult it by process index instead of
-// hashing ProcessIDs into the map-backed Schedule every round. Both
-// internal/engine and internal/runtime share this one implementation so
-// their crash semantics cannot drift apart.
+// hashing ProcessIDs into the map-backed Schedule every round.
 type DenseSchedule struct {
 	rounds []int // 0 = never crashes
 	times  []CrashTime
@@ -277,7 +275,7 @@ func (d DenseSchedule) CrashedForDeliver(i, r int) bool {
 
 // CrashedDuring reports whether process index i actually entered its fail
 // state within an executed prefix of `rounds` rounds. This is the liveness
-// rule of the engines' final AllDecided sweep: a process that crashed
+// rule of the engine's final AllDecided sweep: a process that crashed
 // mid-run is never counted as undecided, while a crash scheduled beyond
 // the executed prefix does not exempt the process.
 func (d DenseSchedule) CrashedDuring(i, rounds int) bool {

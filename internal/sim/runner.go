@@ -3,7 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
-	stdruntime "runtime"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,7 +136,7 @@ func (r Runner) MapCtx(ctx context.Context, n int, fn func(i int)) error {
 	}
 	w := r.Workers
 	if w <= 0 {
-		w = stdruntime.GOMAXPROCS(0)
+		w = runtime.GOMAXPROCS(0)
 	}
 	if w > n {
 		w = n
@@ -206,12 +206,14 @@ func (r Runner) SweepTo(scenarios []Scenario, sink ResultSink) error {
 	return r.SweepToCtx(context.Background(), scenarios, sink)
 }
 
-// SweepToCtx is SweepTo with cooperative cancellation. When ctx is done the
-// sweep stops claiming trials, lets in-flight trials finish, delivers the
-// contiguous prefix of completed results to the sink, and returns a
-// *CanceledError wrapping ctx's error. The delivered prefix is exactly what
-// an uninterrupted sweep would have produced for those indices, so a
-// flushed JSONL shard remains valid for resume.
+// SweepToCtx is SweepTo with cooperative cancellation. Once ctx is done no
+// further result reaches the sink: the sweep stops claiming trials, lets
+// in-flight trials finish, and returns a *CanceledError wrapping ctx's
+// error whose Done counts the results delivered — even if every trial had
+// already finished. A sink that cancels ctx from inside Consume therefore
+// sees exactly the records up to and including that call. The delivered
+// prefix is exactly what an uninterrupted sweep would have produced for
+// those indices, so a flushed JSONL shard remains valid for resume.
 func (r Runner) SweepToCtx(ctx context.Context, scenarios []Scenario, sink ResultSink) error {
 	return r.sweepTo(ctx, len(scenarios), func(i int) Result {
 		return r.guardedTrial(i, scenarios[i])
@@ -277,11 +279,15 @@ func (r Runner) guardedTrial(index int, s Scenario) (res Result) {
 // called concurrently. A Consume error aborts the sweep: trials already in
 // flight finish (at most one per worker), every other remaining trial is
 // skipped, and a *SinkError is returned. Cancellation through ctx likewise
-// drains in-flight trials and delivers the contiguous completed prefix,
-// then returns a *CanceledError. Per-trial errors, by contrast, never stop
-// the sweep — each trial is independent, and the caller gets the first one
-// (by slot order, as a *TrialError) after all trials ran.
+// drains in-flight trials, but delivery stops at the first record that
+// finds ctx done, and a *CanceledError is returned. Per-trial errors, by
+// contrast, never stop the sweep — each trial is independent, and the
+// caller gets the first one (by slot order, as a *TrialError) after all
+// trials ran.
 func (r Runner) sweepTo(ctx context.Context, n int, fn func(i int) Result, sink ResultSink) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	buf := make([]Result, n)
 	done := make([]bool, n)
 	var (
@@ -289,6 +295,7 @@ func (r Runner) sweepTo(ctx context.Context, n int, fn func(i int) Result, sink 
 		mu        sync.Mutex
 		next      int
 		delivered int   // records the sink accepted (= next unless Consume failed)
+		canceled  bool  // ctx was found done before delivering record next
 		firstErr  error // first per-trial Err, by slot order
 		sinkErr   error // first Consume error; aborts the sweep
 		rawErr    error // that Consume error, unwrapped of the SinkError envelope
@@ -331,7 +338,15 @@ func (r Runner) sweepTo(ctx context.Context, n int, fn func(i int) Result, sink 
 		buf[i] = res
 		done[i] = true
 		doneCount++
-		for next < n && done[next] {
+		for next < n && done[next] && !canceled {
+			// Checked per record, not per wake-up: one worker may drain the
+			// whole reorder window in this loop, and a sink that cancels ctx
+			// from Consume must not receive another record.
+			if ctx.Err() != nil {
+				canceled = true
+				aborted.Store(true)
+				break
+			}
 			out := buf[next]
 			buf[next] = Result{} // release the trial's memory once delivered
 			if jal != nil {
@@ -387,9 +402,9 @@ func (r Runner) sweepTo(ctx context.Context, n int, fn func(i int) Result, sink 
 		}
 		return sinkErr
 	}
-	if ctxErr != nil {
+	if ctxErr != nil || canceled {
 		tm.Canceled.Add(uint64(n - doneCount))
-		return &CanceledError{Done: next, Total: n, Err: ctxErr}
+		return &CanceledError{Done: delivered, Total: n, Err: ctx.Err()}
 	}
 	return firstErr
 }

@@ -12,7 +12,6 @@ import (
 	"adhocconsensus/internal/engine"
 	"adhocconsensus/internal/loss"
 	"adhocconsensus/internal/model"
-	"adhocconsensus/internal/runtime"
 	"adhocconsensus/internal/seedstream"
 	"adhocconsensus/internal/valueset"
 )
@@ -126,8 +125,12 @@ type Scenario struct {
 	// components are safely shardable by construction: Materialize builds
 	// every automaton fresh and shares nothing mutable between them.
 	DeliveryWorkers int
-	// UseGoroutines runs the goroutine-per-process runtime instead of the
-	// deterministic in-loop engine.
+	// UseGoroutines only tags the trial's records: sink.ParamsOf copies it
+	// into the "goroutines" key, so a recording made with it keeps its
+	// fingerprint. Execution is identical either way.
+	//
+	// Deprecated: every scenario runs on the engine; the flag has no effect
+	// on execution.
 	UseGoroutines bool
 
 	// Stop, when non-nil, is polled by the round loop once per round: the
@@ -373,9 +376,6 @@ func Run(s Scenario) (*engine.Result, error) {
 	cfg, err := s.Materialize()
 	if err != nil {
 		return nil, err
-	}
-	if s.UseGoroutines {
-		return runtime.Run(*cfg)
 	}
 	return engine.Run(*cfg)
 }

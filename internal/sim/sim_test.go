@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
-	stdruntime "runtime"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -79,7 +79,7 @@ func TestSweepParallelDeterminism(t *testing.T) {
 	if undecided == len(base) {
 		t.Fatal("degenerate grid: nothing decided")
 	}
-	for _, w := range []int{4, stdruntime.GOMAXPROCS(0)} {
+	for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
 		res, err := Runner{Workers: w}.Sweep(determinismGrid())
 		if err != nil {
 			t.Fatal(err)
@@ -189,7 +189,7 @@ func TestSweepToStreamsInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 4, stdruntime.GOMAXPROCS(0)} {
+	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		var sink orderSink
 		if err := (Runner{Workers: w}).SweepTo(determinismGrid(), &sink); err != nil {
 			t.Fatal(err)
@@ -445,11 +445,10 @@ func TestDeliveryWorkersDeterminism(t *testing.T) {
 }
 
 // TestSeedScheduleV2Determinism runs a v2-schedule scenario across worker
-// counts and both round-loop implementations: the counter-based schedule
-// must be exactly as deterministic as v1 — same decisions, same rounds —
-// at any worker count, including the goroutine runtime.
+// counts: the counter-based schedule must be exactly as deterministic as
+// v1 — same decisions, same rounds — at any worker count.
 func TestSeedScheduleV2Determinism(t *testing.T) {
-	scenario := func(workers int, goroutines bool) Scenario {
+	scenario := func(workers int) Scenario {
 		values := make([]model.Value, 64)
 		for i := range values {
 			values[i] = model.Value(i * 13 % 256)
@@ -468,31 +467,27 @@ func TestSeedScheduleV2Determinism(t *testing.T) {
 			Seed:            77,
 			SeedSchedule:    seedstream.V2,
 			DeliveryWorkers: workers,
-			UseGoroutines:   goroutines,
 		}
 	}
-	base, err := Run(scenario(1, false))
+	base, err := Run(scenario(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !base.AllDecided {
 		t.Fatal("v2 baseline scenario undecided")
 	}
-	for _, goroutines := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 4, stdruntime.GOMAXPROCS(0)} {
-			res, err := Run(scenario(workers, goroutines))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Rounds != base.Rounds || len(res.Decisions) != len(base.Decisions) {
-				t.Fatalf("goroutines=%v workers=%d: rounds %d (want %d), decisions %d (want %d)",
-					goroutines, workers, res.Rounds, base.Rounds, len(res.Decisions), len(base.Decisions))
-			}
-			for id, d := range base.Decisions {
-				if res.Decisions[id] != d {
-					t.Fatalf("goroutines=%v workers=%d: process %d decided %v, baseline %v",
-						goroutines, workers, id, res.Decisions[id], d)
-				}
+	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+		res, err := Run(scenario(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rounds != base.Rounds || len(res.Decisions) != len(base.Decisions) {
+			t.Fatalf("workers=%d: rounds %d (want %d), decisions %d (want %d)",
+				workers, res.Rounds, base.Rounds, len(res.Decisions), len(base.Decisions))
+		}
+		for id, d := range base.Decisions {
+			if res.Decisions[id] != d {
+				t.Fatalf("workers=%d: process %d decided %v, baseline %v", workers, id, res.Decisions[id], d)
 			}
 		}
 	}

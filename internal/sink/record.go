@@ -45,7 +45,10 @@ type Params struct {
 	ECFRound  int     `json:"ecf,omitempty"`
 	MaxRounds int     `json:"maxrounds,omitempty"`
 	Trace     string  `json:"trace,omitempty"`
-	Gor       bool    `json:"goroutines,omitempty"`
+	// Gor echoes the deprecated Scenario.UseGoroutines tag. It has no effect
+	// on execution, but it stays in the record and its fingerprint so
+	// recordings made with it keep merging, resuming, and replaying.
+	Gor bool `json:"goroutines,omitempty"`
 	// Crashes digests the crash schedule as "p<id>@<round><b|a>" terms,
 	// sorted by process, comma-joined ("a" = after-send).
 	Crashes string `json:"crashes,omitempty"`

@@ -32,6 +32,13 @@ func TestV1FingerprintGolden(t *testing.T) {
 	if got := p.Fingerprint(); got != want {
 		t.Fatalf("explicit v1 fingerprint %s differs from implicit %s", got, want)
 	}
+	// The deprecated goroutines tag has no effect on execution but still
+	// identifies the recordings made with it.
+	gor := goldenV1Params
+	gor.Gor = true
+	if got, wantGor := gor.Fingerprint(), "954fde2189860638"; got != wantGor {
+		t.Fatalf("goroutines-tagged v1 fingerprint changed: %s, recorded shards carry %s", got, wantGor)
+	}
 }
 
 // TestV2FingerprintDiffers requires the schedule version to separate

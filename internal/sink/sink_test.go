@@ -104,7 +104,7 @@ func TestEncoderMatchesEncodingJSON(t *testing.T) {
 			AgreementOK: true, ValidityOK: true, TerminationOK: true,
 			Exp: "T1", Fingerprint: "abc123", Name: `odd "name"\with escapes` + "\x01",
 			Params: Params{Algorithm: "bitbybit", N: 4, Domain: 16, Detector: "0-◇AC",
-				LossP: 0.35, Crashes: "p2@3a", Bespoke: "loss"}},
+				LossP: 0.35, Gor: true, Crashes: "p2@3a", Bespoke: "loss"}},
 		{Schema: Schema, Index: 1, Seed: 0, Err: "engine: exploded"},
 	}
 	var buf bytes.Buffer
@@ -114,6 +114,9 @@ func TestEncoderMatchesEncodingJSON(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	if len(lines) != len(recs) {
 		t.Fatalf("%d lines for %d records", len(lines), len(recs))
+	}
+	if !strings.Contains(lines[0], `"goroutines":true`) {
+		t.Fatalf("goroutines tag not recorded under its key: %s", lines[0])
 	}
 	for i, line := range lines {
 		var got Record

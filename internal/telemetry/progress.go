@@ -132,7 +132,7 @@ func (p *Progress) Line(now time.Time) string {
 		fmt.Fprintf(&b, " | %.1f trials/s", rate)
 		remaining := s.Total - s.Done
 		if remaining > 0 && rate > 0 {
-			eta := time.Duration(float64(remaining)/rate*float64(time.Second)).Round(time.Second)
+			eta := time.Duration(float64(remaining) / rate * float64(time.Second)).Round(time.Second)
 			fmt.Fprintf(&b, " | eta %s", eta)
 		} else if remaining == 0 {
 			fmt.Fprintf(&b, " | done in %s", elapsed.Round(time.Second))
