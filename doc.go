@@ -125,7 +125,11 @@
 //     sequential schedule: one generator per adversary, advanced draw by
 //     draw in receiver-major order. Order-dependent by construction, so
 //     the plan must be drawn single-threaded — but byte-identical to
-//     every recording made before schedules were versioned.
+//     every recording made before schedules were versioned. The generator
+//     is seedstream.NewV1, which every seeded component shares: its stream
+//     is bit-identical to math/rand's for the same seed, but it computes
+//     each of its 607 state words when a draw first reads it, so a trial
+//     that draws a few dozen numbers does not pay for seeding all of them.
 //   - SeedScheduleV2 is the counter-based schedule (internal/seedstream):
 //     splitmix64's finalizer keys an independent stream per (trial seed,
 //     round, receiver), and the i-th draw of a stream is a pure function

@@ -18,6 +18,7 @@ import (
 
 	"adhocconsensus/internal/cm"
 	"adhocconsensus/internal/model"
+	"adhocconsensus/internal/seedstream"
 )
 
 // maxWindow caps the contention window to keep stabilization times bounded
@@ -43,7 +44,7 @@ var (
 // New returns a backoff manager with a deterministic seed.
 func New(seed int64) *Manager {
 	return &Manager{
-		rng:    rand.New(rand.NewSource(seed)),
+		rng:    seedstream.NewV1(seed),
 		window: make(map[model.ProcessID]int),
 	}
 }

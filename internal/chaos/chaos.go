@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"adhocconsensus/internal/model"
+	"adhocconsensus/internal/seedstream"
 	"adhocconsensus/internal/sim"
 	"adhocconsensus/internal/sink"
 )
@@ -52,7 +53,7 @@ func (s *Sink) Consume(r sim.Result) error {
 	}
 	if s.FailP > 0 {
 		if s.rng == nil {
-			s.rng = rand.New(rand.NewSource(s.Seed))
+			s.rng = seedstream.NewV1(s.Seed)
 		}
 		if s.rng.Float64() < s.FailP {
 			return s.fail(fmt.Errorf("chaos: seeded failure on consume %d", s.calls))

@@ -14,10 +14,10 @@ package cm
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"adhocconsensus/internal/model"
+	"adhocconsensus/internal/seedstream"
 )
 
 // Service produces contention manager advice each round. The alive callback
@@ -127,7 +127,7 @@ func PreNoneActive(_ int, _ []model.ProcessID) map[model.ProcessID]bool {
 // PreRandom returns a PreAdvice that marks each process active
 // independently with probability p, using a deterministic seed.
 func PreRandom(seed int64, p float64) PreAdvice {
-	rng := rand.New(rand.NewSource(seed))
+	rng := seedstream.NewV1(seed)
 	return func(_ int, procs []model.ProcessID) map[model.ProcessID]bool {
 		out := make(map[model.ProcessID]bool, len(procs))
 		for _, id := range procs {
@@ -181,14 +181,17 @@ func (w WakeUp) chosen(r int, procs []model.ProcessID, alive func(model.ProcessI
 	return aliveProcs[(r-w.Stable)%len(aliveProcs)]
 }
 
-// AdviseInto implements DenseAdviser.
+// AdviseInto implements DenseAdviser. The default pre-stabilization
+// advice (PreAllActive) is written directly, without building its map.
 func (w WakeUp) AdviseInto(r int, procs []model.ProcessID, alive func(model.ProcessID) bool, out []model.CMAdvice) {
 	if r < w.Stable {
-		pre := w.Pre
-		if pre == nil {
-			pre = PreAllActive
+		if w.Pre == nil {
+			for i := range procs {
+				out[i] = model.CMActive
+			}
+			return
 		}
-		active := pre(r, procs)
+		active := w.Pre(r, procs)
 		for i, id := range procs {
 			if active[id] {
 				out[i] = model.CMActive

@@ -43,7 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -215,7 +215,7 @@ func newRunState(cfg *Config) *runState {
 	for id := range cfg.Procs {
 		st.procs = append(st.procs, id)
 	}
-	sort.Slice(st.procs, func(i, j int) bool { return st.procs[i] < st.procs[j] })
+	slices.Sort(st.procs)
 	for i, id := range st.procs {
 		st.index[id] = i
 		st.autos[i] = cfg.Procs[id]

@@ -664,6 +664,46 @@ func TestTraceFullSteadyStateAllocations(t *testing.T) {
 	}
 }
 
+// chatter broadcasts the same estimate every round and never halts. Its
+// message lives in the automaton, so it allocates nothing per round.
+type chatter struct{ msg model.Message }
+
+func (c *chatter) Message(int, model.CMAdvice) *model.Message                  { return &c.msg }
+func (c *chatter) Deliver(int, *model.RecvSet, model.CDAdvice, model.CMAdvice) {}
+
+// TestWakeUpLossySteadyStateAllocations extends the steady-state audit to
+// the sweep path that the default-NoCM audits miss: a wake-up service that
+// takes its pre-stabilization branch every round, and a v1 probabilistic
+// adversary that draws every round. The allocation count of a run must not
+// grow with its length.
+func TestWakeUpLossySteadyStateAllocations(t *testing.T) {
+	run := func(rounds int) func() {
+		return func() {
+			procs := make(map[model.ProcessID]model.Automaton, 3)
+			for p := model.ProcessID(1); p <= 3; p++ {
+				procs[p] = &chatter{msg: model.Message{Kind: model.KindEstimate, Value: model.Value(p)}}
+			}
+			if _, err := Run(Config{
+				Procs:          procs,
+				CM:             cm.WakeUp{Stable: rounds + 1},
+				Loss:           loss.NewProbabilistic(0.3, 7),
+				MaxRounds:      rounds,
+				RunFullHorizon: true,
+				Trace:          TraceDecisionsOnly,
+			}); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	run(8)() // warm the receive-set pool
+	short := testing.AllocsPerRun(20, run(8))
+	long := testing.AllocsPerRun(20, run(520))
+	if perRound := (long - short) / 512; perRound > 0.05 {
+		t.Fatalf("wake-up + lossy steady state allocates %.2f objects/round (short run %.0f, long run %.0f allocs), want 0",
+			perRound, short, long)
+	}
+}
+
 // TestTraceFullWithinTwiceDecisionsOnlyAllocs pins the headline arena
 // property end to end: recording a full execution costs at most 2x the
 // allocations of a decisions-only run of the same noisy, lossy, crashy

@@ -19,7 +19,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 
@@ -27,6 +26,7 @@ import (
 	"adhocconsensus/internal/engine"
 	"adhocconsensus/internal/loss"
 	"adhocconsensus/internal/model"
+	"adhocconsensus/internal/seedstream"
 	"adhocconsensus/internal/sim"
 	"adhocconsensus/internal/valueset"
 )
@@ -88,9 +88,6 @@ func (t *Table) String() string {
 	fmt.Fprintf(&b, "PASS=%v\n", t.Pass)
 	return b.String()
 }
-
-// newRng returns a deterministic generator for adversarial behaviors.
-func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // spreadValues produces n initial values spread across the domain,
 // guaranteeing at least two distinct values when the domain allows.
@@ -250,7 +247,7 @@ func partitionLoss(p loss.Partition) func(*sim.Scenario) loss.Adversary {
 
 // noisyDetector returns a factory for a seeded false-positive behavior.
 func noisyDetector(p float64, seed int64) func(*sim.Scenario) detector.Behavior {
-	return func(*sim.Scenario) detector.Behavior { return detector.Noisy{P: p, Rng: newRng(seed)} }
+	return func(*sim.Scenario) detector.Behavior { return detector.Noisy{P: p, Rng: seedstream.NewV1(seed)} }
 }
 
 // minimalDetector is the factory for the adversarially quiet behavior.

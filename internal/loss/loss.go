@@ -240,8 +240,10 @@ func (d *denseIndex) sender(snd model.ProcessID, senders []model.ProcessID) (int
 // rounds — steady-state Plan calls allocate nothing — so the func returned
 // by Plan is valid only until the next Plan call.
 type Probabilistic struct {
-	P   float64
-	Rng *rand.Rand // v1 draw source; unused under V2
+	P float64
+	// Rng is the v1 draw source, unused under V2. NewProbabilistic sets it
+	// to seedstream.NewV1(seed): math/rand's stream, seeded on first use.
+	Rng *rand.Rand
 
 	// Schedule selects the seed schedule (seedstream.V1 when zero); Seed
 	// keys the V2 counter streams and is unused under v1.
@@ -260,7 +262,7 @@ type Probabilistic struct {
 // NewProbabilistic returns a probabilistic adversary with its own seeded
 // generator (seed schedule v1).
 func NewProbabilistic(p float64, seed int64) *Probabilistic {
-	return &Probabilistic{P: p, Rng: rand.New(rand.NewSource(seed))}
+	return &Probabilistic{P: p, Rng: seedstream.NewV1(seed)}
 }
 
 // NewProbabilisticV2 returns a probabilistic adversary drawing from the
@@ -363,9 +365,11 @@ func (*Probabilistic) ConcurrentPlan() {}
 // each receiver draws from its own (Seed, round, receiver) counter stream,
 // so PlanShards fills receiver ranges concurrently.
 type Capture struct {
-	PNone     float64    // probability a receiver captures nothing in a collision
-	PLoneLoss float64    // probability a lone broadcast is lost at a receiver
-	Rng       *rand.Rand // v1 draw source; unused under V2
+	PNone     float64 // probability a receiver captures nothing in a collision
+	PLoneLoss float64 // probability a lone broadcast is lost at a receiver
+	// Rng is the v1 draw source, unused under V2. NewCapture sets it to
+	// seedstream.NewV1(seed): math/rand's stream, seeded on first use.
+	Rng *rand.Rand
 
 	// Schedule selects the seed schedule (seedstream.V1 when zero); Seed
 	// keys the V2 counter streams and is unused under v1.
@@ -385,7 +389,7 @@ type Capture struct {
 // NewCapture returns a capture-effect adversary with its own seeded
 // generator (seed schedule v1).
 func NewCapture(pNone, pLoneLoss float64, seed int64) *Capture {
-	return &Capture{PNone: pNone, PLoneLoss: pLoneLoss, Rng: rand.New(rand.NewSource(seed))}
+	return &Capture{PNone: pNone, PLoneLoss: pLoneLoss, Rng: seedstream.NewV1(seed)}
 }
 
 // NewCaptureV2 returns a capture-effect adversary drawing from the

@@ -2,7 +2,7 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -212,7 +212,7 @@ func (e *Execution) Release() {
 func NewExecution(procs []ProcessID, initial map[ProcessID]Value) *Execution {
 	sorted := make([]ProcessID, len(procs))
 	copy(sorted, procs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	init := make(map[ProcessID]Value, len(initial))
 	for id, v := range initial {
 		init[id] = v
@@ -367,7 +367,7 @@ func (e *Execution) DecidedValues() []Value {
 	for v := range seen {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -7,6 +7,7 @@ import (
 	"adhocconsensus/internal/detector"
 	"adhocconsensus/internal/model"
 	"adhocconsensus/internal/multiset"
+	"adhocconsensus/internal/seedstream"
 )
 
 // Node is a multihop protocol participant. The interface mirrors
@@ -49,7 +50,7 @@ func NewNetwork(topo *Topology, nodes []Node, class detector.Class, lossP float6
 		nodes: nodes,
 		det:   detector.New(class),
 		lossP: lossP,
-		rng:   rand.New(rand.NewSource(seed)),
+		rng:   seedstream.NewV1(seed),
 	}, nil
 }
 

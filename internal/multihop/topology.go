@@ -17,7 +17,8 @@ package multihop
 import (
 	"fmt"
 	"math"
-	"math/rand"
+
+	"adhocconsensus/internal/seedstream"
 )
 
 // NodeID identifies a node in a multihop topology.
@@ -58,7 +59,7 @@ func NewRandom(n int, side, radius float64, seed int64) (*Topology, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("multihop: need at least one node")
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := seedstream.NewV1(seed)
 	t := &Topology{radius: radius}
 	for i := 0; i < n; i++ {
 		t.xs = append(t.xs, rng.Float64()*side)

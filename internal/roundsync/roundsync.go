@@ -16,7 +16,8 @@ package roundsync
 import (
 	"fmt"
 	"math"
-	"math/rand"
+
+	"adhocconsensus/internal/seedstream"
 )
 
 // Config parameterizes a simulated deployment. All times are in abstract
@@ -102,7 +103,7 @@ func Simulate(cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := seedstream.NewV1(cfg.Seed)
 	nodes := make([]*node, cfg.Nodes)
 	for i := range nodes {
 		drift := (2*rng.Float64() - 1) * cfg.MaxDrift

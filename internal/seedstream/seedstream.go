@@ -7,7 +7,10 @@
 //
 //   - V1: the historical sequential schedule. Every component owns a
 //     *rand.Rand seeded once; draws are consumed in iteration order, so
-//     the stream is inherently order-dependent and serial.
+//     the stream is inherently order-dependent and serial. V1 generators
+//     come from NewV1, whose stream is bit-identical to math/rand's for
+//     the same seed and whose seeding is deferred to first use: each of
+//     the 607 state words is computed when a draw first reads it.
 //   - V2: a counter-based schedule. Each (seed, round, stream) triple
 //     keys an independent splitmix64 sequence addressed by index, so any
 //     shard can fill its slice of a loss row without observing — or

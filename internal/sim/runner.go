@@ -73,6 +73,7 @@ func RunTrialFull(index int, s Scenario) (Result, *engine.Result) {
 	if err != nil {
 		return Result{Index: index, Name: s.Name, Seed: s.Seed, Err: err}, nil
 	}
+	vals := res.Execution.DecidedValues()
 	return Result{
 		Index:             index,
 		Name:              s.Name,
@@ -80,9 +81,9 @@ func RunTrialFull(index int, s Scenario) (Result, *engine.Result) {
 		Rounds:            res.Rounds,
 		AllDecided:        res.AllDecided,
 		Decisions:         len(res.Decisions),
-		DecidedValues:     res.Execution.DecidedValues(),
+		DecidedValues:     vals,
 		LastDecisionRound: res.Execution.LastDecisionRound(),
-		AgreementOK:       engine.CheckAgreement(res) == nil,
+		AgreementOK:       len(vals) <= 1, // engine.CheckAgreement's rule
 		ValidityOK:        engine.CheckStrongValidity(res) == nil,
 		TerminationOK:     engine.CheckTermination(res, s.Crashes) == nil,
 	}, res

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 
 	"adhocconsensus/internal/backoff"
@@ -159,9 +158,6 @@ type Scenario struct {
 	BuildProc func(i int, s *Scenario) model.Automaton
 }
 
-// rng returns a deterministic generator for one seeded component.
-func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
 // Materialize translates the scenario into an engine configuration,
 // constructing every stateful component (automata, detector, contention
 // manager, adversary) fresh. Callers executing trials concurrently must
@@ -296,7 +292,7 @@ func (s *Scenario) buildDetector() (*detector.Detector, error) {
 	case s.BuildBehavior != nil:
 		behavior = s.BuildBehavior(s)
 	case s.FalsePositiveRate > 0:
-		behavior = detector.Noisy{P: s.FalsePositiveRate, Rng: rng(s.Seed + 2)}
+		behavior = detector.Noisy{P: s.FalsePositiveRate, Rng: seedstream.NewV1(s.Seed + 2)}
 	}
 	return detector.New(class, detector.WithRace(race), detector.WithBehavior(behavior)), nil
 }

@@ -13,9 +13,9 @@ package valueset
 
 import (
 	"fmt"
-	"math/rand"
 
 	"adhocconsensus/internal/model"
+	"adhocconsensus/internal/seedstream"
 )
 
 // Domain is a finite value set V = {0, 1, ..., Size-1}.
@@ -161,7 +161,7 @@ func RandomIDs(n int, space Domain, seed int64) ([]model.Value, error) {
 	if uint64(n) > space.Size {
 		return nil, fmt.Errorf("valueset: cannot draw %d distinct IDs from a space of %d", n, space.Size)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := seedstream.NewV1(seed)
 	seen := make(map[model.Value]struct{}, n)
 	out := make([]model.Value, 0, n)
 	for len(out) < n {
