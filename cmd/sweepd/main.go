@@ -26,9 +26,9 @@
 //	                            durable; a finished job replays its
 //	                            persisted journal ("sweeprun tail" is the
 //	                            terminal client)
-//	GET  /jobs/{id}/results     experiment tables / trial statistics
-//	                            rendered from the durable records through
-//	                            internal/replay — no re-simulation
+//	GET  /jobs/{id}/results     what "sweeprun replay" prints for the
+//	                            durable records (cli.RenderGroup) — no
+//	                            re-simulation
 //	GET  /jobs/{id}/flagged     quarantined/undecided/violation trials
 //	                            (?flag= selectors, JSON)
 //	GET  /healthz               liveness + drain state

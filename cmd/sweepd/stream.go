@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"time"
 
-	"adhocconsensus"
 	"adhocconsensus/internal/cli"
 	"adhocconsensus/internal/events"
 	"adhocconsensus/internal/jobs"
@@ -215,8 +214,9 @@ func handleEvents(w http.ResponseWriter, r *http.Request, sup *jobs.Supervisor, 
 }
 
 // handleResults is GET /jobs/{id}/results: the shard file's records
-// rendered through internal/replay — experiment tables and trial statistics
-// without re-simulation. ?quiet collapses experiments to PASS/FAIL lines.
+// rendered by cli.RenderGroup, the renderer behind "sweeprun replay" —
+// experiment tables, trial statistics and seed provenance without
+// re-simulation. ?quiet collapses each group to its one-line summary.
 // Records that cannot render yet (incomplete shard of a wider sweep, no
 // records durable) answer 422/404 with the reason.
 func handleResults(w http.ResponseWriter, r *http.Request, sup *jobs.Supervisor, id int64) {
@@ -231,9 +231,12 @@ func handleResults(w http.ResponseWriter, r *http.Request, sup *jobs.Supervisor,
 		return
 	}
 	var b bytes.Buffer
-	if err := renderRecords(&b, recs, r.URL.Query().Has("quiet")); err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err)
-		return
+	run := replay.Group(recs)
+	for _, name := range run.Order {
+		if _, err := cli.RenderGroup(&b, name, run.Groups[name], r.URL.Query().Has("quiet")); err != nil {
+			writeErr(w, http.StatusUnprocessableEntity, fmt.Errorf("%s: %w", name, err))
+			return
+		}
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
@@ -293,84 +296,6 @@ func readShard(path string) ([]sink.Record, error) {
 		return nil, errors.New("no durable records yet")
 	}
 	return recs, nil
-}
-
-// renderRecords folds records into tables exactly as "sweeprun replay"
-// does: experiment groups through replay.RenderExperiment, configuration
-// sweeps through the trial-statistics printer.
-func renderRecords(out io.Writer, recs []sink.Record, quiet bool) error {
-	run := replay.Group(recs)
-	for _, name := range run.Order {
-		group := run.Groups[name]
-		if name == "trials" {
-			if err := renderTrials(out, group, quiet); err != nil {
-				return fmt.Errorf("trials: %w", err)
-			}
-			continue
-		}
-		table, err := replay.RenderExperiment(name, group)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		if quiet {
-			verdict := "PASS"
-			if !table.Pass {
-				verdict = "FAIL"
-			}
-			fmt.Fprintf(out, "%s: %s\n", name, verdict)
-		} else {
-			fmt.Fprintln(out, table)
-		}
-	}
-	return nil
-}
-
-// renderTrials renders a configuration-sweep group's statistics — the
-// daemon-side twin of sweeprun's mergeTrials (kept in lockstep by the
-// handler test's comparison against "sweeprun replay" output).
-func renderTrials(out io.Writer, recs []sink.Record, quiet bool) error {
-	results, err := sink.Merge(recs)
-	if err != nil {
-		return err
-	}
-	if _, err := sink.UniformSeedSchedule(recs); err != nil {
-		return err
-	}
-	fp := recs[0].Fingerprint
-	for _, rec := range recs {
-		if rec.Fingerprint != fp {
-			return fmt.Errorf("trial %d fingerprint %s differs from %s — shards from different configurations",
-				rec.Index, rec.Fingerprint, fp)
-		}
-	}
-	trs := make([]adhocconsensus.TrialResult, len(results))
-	for i, res := range results {
-		trs[i] = adhocconsensus.TrialResult{
-			Trial:             res.Index,
-			Seed:              res.Seed,
-			Fingerprint:       fp,
-			Rounds:            res.Rounds,
-			Decided:           res.AllDecided,
-			Decisions:         res.Decisions,
-			DecidedValues:     res.DecidedValues,
-			LastDecisionRound: res.LastDecisionRound,
-			AgreementOK:       res.AgreementOK,
-			ValidityOK:        res.ValidityOK,
-			TerminationOK:     res.TerminationOK,
-		}
-	}
-	st := adhocconsensus.TrialStatsOf(trs)
-	if quiet {
-		fmt.Fprintf(out, "trials: %d merged, %d decided, %d violation(s)\n",
-			st.Trials, st.Decided, st.AgreementViolations)
-		return nil
-	}
-	alg, err := cli.ParseAlgorithm(recs[0].Params.Algorithm)
-	if err != nil {
-		return fmt.Errorf("records carry no usable algorithm param: %w", err)
-	}
-	cli.PrintTrialStats(out, alg, recs[0].Params.N, st)
-	return nil
 }
 
 // jobID parses the {id} path value shared by the per-job routes.

@@ -14,8 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"adhocconsensus/internal/cli"
 	"adhocconsensus/internal/events"
 	"adhocconsensus/internal/jobs"
+	"adhocconsensus/internal/replay"
 	"adhocconsensus/internal/sink"
 	"adhocconsensus/internal/telemetry"
 )
@@ -399,9 +401,10 @@ func TestEventStreamSlowConsumerDrops(t *testing.T) {
 	}
 }
 
-// TestDaemonResultsAndFlagged: /results renders the durable records through
-// the replay surface (no re-simulation), /flagged drills into selected
-// trials, and bad input answers with the right statuses.
+// TestDaemonResultsAndFlagged: /results is the shared renderer's output over
+// the job's durable records — what "sweeprun replay" prints, seed provenance
+// included, with no re-simulation — /flagged drills into selected trials,
+// and bad input answers with the right statuses.
 func TestDaemonResultsAndFlagged(t *testing.T) {
 	dir := t.TempDir()
 	baseURL, shutdown := startDaemon(t, dir)
@@ -423,30 +426,37 @@ func TestDaemonResultsAndFlagged(t *testing.T) {
 	}
 	waitDone(t, baseURL, st.ID, 30*time.Second)
 
-	resp, err := http.Get(fmt.Sprintf("%s/jobs/%d/results", baseURL, st.ID))
+	run, err := replay.LoadFiles(spec.Out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	_, _ = buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("results: %s\n%s", resp.Status, buf.String())
-	}
-	for _, want := range []string{"algorithm : propose", "trials    : 30", "decided   : 30/30"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("results missing %q:\n%s", want, buf.String())
+	for _, quiet := range []bool{false, true} {
+		var want bytes.Buffer
+		for _, name := range run.Order {
+			if _, err := cli.RenderGroup(&want, name, run.Groups[name], quiet); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	resp, err = http.Get(fmt.Sprintf("%s/jobs/%d/results?quiet", baseURL, st.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	_, _ = buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(buf.String(), "trials: 30 merged, 30 decided, 0 violation(s)") {
-		t.Fatalf("quiet results: %s", buf.String())
+		url := fmt.Sprintf("%s/jobs/%d/results", baseURL, st.ID)
+		if quiet {
+			url += "?quiet"
+		}
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		_, _ = buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("results: %s\n%s", resp.Status, buf.String())
+		}
+		if buf.String() != want.String() {
+			t.Fatalf("%s answered\n%s\nthe shared renderer prints\n%s", url, buf.String(), want.String())
+		}
+		if !quiet && (!strings.Contains(buf.String(), "decided   : 30/30\n") || !strings.Contains(buf.String(), "seeds     : ")) {
+			t.Fatalf("results lack the trial statistics or the seed provenance:\n%s", buf.String())
+		}
 	}
 
 	var flagged struct {

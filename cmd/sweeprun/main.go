@@ -327,45 +327,9 @@ func runShard(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		segs = append(segs, seg)
-	} else {
-		add := func(name string) error {
-			if e, ok := experiments.GridExperimentByName(name); ok {
-				seg, err := jobs.GridSegment(e, shard, shards, *workers, *timeout)
-				if err != nil {
-					return err
-				}
-				segs = append(segs, seg)
-				return nil
-			}
-			if e, ok := experiments.WorkExperimentByName(name); ok {
-				seg, err := jobs.WorkSegment(e, shard, shards, *workers, *timeout)
-				if err != nil {
-					return err
-				}
-				segs = append(segs, seg)
-				return nil
-			}
-			return fmt.Errorf("no experiment %q (grids: T1..T5, T8, A1, A2; work pipelines: T6, T7, T9, A3, M1)", name)
-		}
-		if *expList == "all" {
-			for _, e := range experiments.GridExperiments() {
-				if err := add(e.Name); err != nil {
-					return err
-				}
-			}
-			for _, e := range experiments.WorkExperiments() {
-				if err := add(e.Name); err != nil {
-					return err
-				}
-			}
-		} else {
-			for _, name := range strings.Split(*expList, ",") {
-				if err := add(strings.TrimSpace(name)); err != nil {
-					return err
-				}
-			}
-		}
+		segs = []jobs.Segment{seg}
+	} else if segs, err = jobs.ExperimentSegments(strings.Split(*expList, ","), shard, shards, *workers, *timeout); err != nil {
+		return err
 	}
 
 	// Resolve the run report's destination: explicit -report wins, 'none'
@@ -745,101 +709,25 @@ func mergeRender(paths []string, out io.Writer, quiet bool) error {
 	}
 	failed := 0
 	for _, name := range run.Order {
-		group := run.Groups[name]
-		if name == "trials" {
-			if err := mergeTrials(group, out, quiet); err != nil {
-				fmt.Fprintln(out, "trials: shard set rejected")
-				printShardVerdicts(out, files, "trials", trialsShardVerdict(files))
-				return withExit(exitReject, fmt.Errorf("trials: %w", err))
-			}
-			continue
-		}
-		table, err := replay.RenderExperiment(name, group)
+		pass, err := cli.RenderGroup(out, name, run.Groups[name], quiet)
 		if err != nil {
 			fmt.Fprintf(out, "%s: shard set rejected\n", name)
-			printShardVerdicts(out, files, name, func(sf shardFile) error {
-				return experimentShardVerdict(name, sf)
-			})
+			if name == "trials" {
+				printShardVerdicts(out, files, name, trialsShardVerdict(files))
+			} else {
+				printShardVerdicts(out, files, name, func(sf shardFile) error {
+					return experimentShardVerdict(name, sf)
+				})
+			}
 			return withExit(exitReject, fmt.Errorf("%s: %w", name, err))
 		}
-		if quiet {
-			verdict := "PASS"
-			if !table.Pass {
-				verdict = "FAIL"
-			}
-			fmt.Fprintf(out, "%s: %s\n", name, verdict)
-		} else {
-			fmt.Fprintln(out, table)
-		}
-		if !table.Pass {
+		if !pass {
 			failed++
 		}
 	}
 	if failed > 0 {
 		return withExit(exitReject, fmt.Errorf("%d experiment(s) failed their internal checks", failed))
 	}
-	return nil
-}
-
-// trialResultsOf reconstructs the public TrialResults of a merged
-// configuration-sweep group, verifying the single-fingerprint invariant.
-func trialResultsOf(recs []sink.Record) ([]adhocconsensus.TrialResult, error) {
-	results, err := sink.Merge(recs)
-	if err != nil {
-		return nil, err
-	}
-	// One sweep runs under one seed schedule; shards recorded under v1 and
-	// v2 are different experiments and must not fold together.
-	if _, err := sink.UniformSeedSchedule(recs); err != nil {
-		return nil, err
-	}
-	// All trials of one configuration share its fingerprint; reject mixed
-	// files.
-	fp := recs[0].Fingerprint
-	for _, rec := range recs {
-		if rec.Fingerprint != fp {
-			return nil, fmt.Errorf("trial %d fingerprint %s differs from %s — shards from different configurations",
-				rec.Index, rec.Fingerprint, fp)
-		}
-	}
-	trs := make([]adhocconsensus.TrialResult, len(results))
-	for i, r := range results {
-		trs[i] = adhocconsensus.TrialResult{
-			Trial:             r.Index,
-			Seed:              r.Seed,
-			Fingerprint:       fp,
-			Rounds:            r.Rounds,
-			Decided:           r.AllDecided,
-			Decisions:         r.Decisions,
-			DecidedValues:     r.DecidedValues,
-			LastDecisionRound: r.LastDecisionRound,
-			AgreementOK:       r.AgreementOK,
-			ValidityOK:        r.ValidityOK,
-			TerminationOK:     r.TerminationOK,
-		}
-	}
-	return trs, nil
-}
-
-// mergeTrials folds configuration-sweep records into the statistics and
-// seed-provenance report consensus-sim -trials prints.
-func mergeTrials(recs []sink.Record, out io.Writer, quiet bool) error {
-	trs, err := trialResultsOf(recs)
-	if err != nil {
-		return err
-	}
-	st := adhocconsensus.TrialStatsOf(trs)
-	if quiet {
-		fmt.Fprintf(out, "trials: %d merged, %d decided, %d violation(s)\n",
-			st.Trials, st.Decided, st.AgreementViolations)
-		return nil
-	}
-	alg, err := cli.ParseAlgorithm(recs[0].Params.Algorithm)
-	if err != nil {
-		return fmt.Errorf("records carry no usable algorithm param: %w", err)
-	}
-	cli.PrintTrialStats(out, alg, recs[0].Params.N, st)
-	cli.PrintSeedProvenance(out, trs)
 	return nil
 }
 
@@ -927,7 +815,7 @@ func verifyTrials(cf *cli.ConfigFlags, recs []sink.Record, sel replay.Selector, 
 	if err != nil {
 		return 0, err
 	}
-	trs, err := trialResultsOf(recs)
+	trs, err := cli.TrialResultsOf(recs)
 	if err != nil {
 		return 0, err
 	}

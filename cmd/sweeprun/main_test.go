@@ -502,3 +502,12 @@ func TestRunRejectsBadInput(t *testing.T) {
 		})
 	}
 }
+
+// TestRunExpandsAllInAList: "all" expands inside an -exp list exactly as in
+// a job spec's exps, so planning gets past it to the unknown name.
+func TestRunExpandsAllInAList(t *testing.T) {
+	err := runCLI([]string{"run", "-exp", "all,T99", "-o", filepath.Join(t.TempDir(), "x.jsonl")}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `no experiment "T99"`) {
+		t.Fatalf("run -exp all,T99 = %v, want the T99 rejection", err)
+	}
+}

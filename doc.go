@@ -287,31 +287,38 @@
 // journal is a bounded lock-free ring with fan-out subscriptions — a
 // blocking lossless mode feeds the durable per-attempt export
 // (<out>.events.jsonl, whose event counts reconcile exactly with the run
-// report's counters), and a non-blocking mode serves live watchers under
-// an explicit slow-consumer drop policy (drops surface in events.dropped
-// and per-subscription). Like telemetry it is an observer: journaling on,
-// exported, and subscribed leaves shard bytes identical at any worker
-// count, and the engine/sink allocation audits hold with a subscriber
-// attached.
+// report: each segment.end carries the count its segment's sink tallied,
+// which is the report's executed count, and sim.Runner's one ordered
+// delivery loop journals a quarantine point and counts its cause at the
+// moment the sink accepts the record), and a non-blocking mode serves live
+// watchers under an explicit slow-consumer drop policy (drops surface in
+// events.dropped and per-subscription). Like telemetry it is an observer:
+// journaling on, exported, and subscribed leaves shard bytes identical at
+// any worker count, and the engine/sink allocation audits hold with a
+// subscriber attached.
 //
 // The daemon turns that journal into a query surface. sweepd serves, per
 // job: GET /jobs/{id}/events — one SSE connection streaming the journal
 // and the per-trial records as they become durable (a finished job
 // replays its persisted journal; "sweeprun tail ADDR JOB" is the terminal
-// client); GET /jobs/{id}/results — experiment tables and trial
-// statistics rendered from the durable records through internal/replay,
-// no re-simulation; GET /jobs/{id}/flagged — quarantined/undecided/
-// violation trials selected by the shared replay.Selector syntax; and
-// /metrics?name=PREFIX — one registry subtree, histogram buckets labeled
-// with human-readable bounds ("sweeprun help events" summarizes the
-// surfaces).
+// client); GET /jobs/{id}/results — experiment tables, trial statistics
+// and seed provenance rendered from the durable records by cli.RenderGroup,
+// the renderer "sweeprun replay" prints through, so the two are
+// byte-identical and nothing is re-simulated; GET /jobs/{id}/flagged —
+// quarantined/undecided/violation trials selected by the shared
+// replay.Selector syntax; and /metrics?name=PREFIX — one registry subtree,
+// histogram buckets labeled with human-readable bounds ("sweeprun help
+// events" summarizes the surfaces).
 //
 // # Job supervision
 //
 // The batch CLI has a daemon face: cmd/sweepd accepts sweep-shard jobs
 // over a loopback HTTP API (sharing the telemetry listener) and executes
-// them through internal/jobs — the same segment-plan/salvage/stream code
-// path "sweeprun run" uses, extracted so both faces cannot drift. A
+// them through internal/jobs — the segment-plan/salvage/stream code path
+// "sweeprun run" uses. Each step of it exists once: sim.Runner's ordered
+// delivery loop streams grids, work items and configuration sweeps alike,
+// jobs.ExperimentSegments plans experiment names for both faces, and
+// internal/cli renders recorded results for sweeprun and sweepd. A
 // supervisor fronts a bounded, fingerprint-deduplicating admission queue
 // before a single execution slot: transient sink failures retry under a
 // backoff window (optionally with deterministic per-job jitter), a

@@ -1,9 +1,11 @@
 // Package cli holds the flag vocabulary and output formatting shared by the
-// command-line tools (cmd/consensus-sim, cmd/sweeprun): the mapping from
-// flag spellings to public Config values, the multi-trial summary printer,
-// and the per-trial seed-provenance report. Keeping one copy here is what
-// makes "sweeprun merge" output byte-comparable with "consensus-sim
-// -trials" output for the same configuration.
+// command-line tools and the daemon (cmd/consensus-sim, cmd/sweeprun,
+// cmd/sweepd): the mapping from flag spellings to public Config values, the
+// multi-trial summary printer, the per-trial seed-provenance report, and
+// RenderGroup, the one renderer of recorded results. Keeping one copy here
+// is what makes "sweeprun merge" output byte-comparable with "consensus-sim
+// -trials" output for the same configuration, and sweepd's /results
+// byte-identical to "sweeprun replay".
 package cli
 
 import (

@@ -8,14 +8,17 @@
 // A Segment is one experiment's (or configuration sweep's) planned record
 // sequence for a shard, carrying enough derivation to verify a salvaged
 // prefix record-by-record (Verify) and to stream the remainder after a skip
-// (Stream). GridSegment, WorkSegment, and TrialsSegment build them;
-// BuildSegments compiles a serializable Spec into the same plan the CLI
-// flags produce. Salvage reopens a partial shard file, verifies its valid
-// prefix against the plan, truncates the torn tail, and positions the file
-// for appending; Stream executes the remainder; Execute composes the two
-// and writes the run report. Because the daemon and the CLI run the
-// identical code path, a job's merged output is byte-identical to an
-// uninterrupted command-line run — the property the chaos soak pins.
+// (Stream). GridSegment, WorkSegment, and TrialsSegment build them, and
+// every kind streams through sim.Runner's one ordered-delivery loop;
+// ExperimentSegments is the one resolver of experiment names, behind both a
+// serializable Spec (BuildSegments) and the CLI's -exp flag. Salvage
+// reopens a partial shard file, verifies its valid prefix against the plan,
+// truncates the torn tail, and positions the file for appending; Stream
+// executes the remainder, giving each segment its own JSONL sink and taking
+// the segment's counts from that sink's tally; Execute composes the two and
+// writes the run report. Because the daemon and the CLI run the identical
+// code path, a job's merged output is byte-identical to an uninterrupted
+// command-line run — the property the chaos soak pins.
 //
 // # Job supervision
 //

@@ -10,6 +10,7 @@ import (
 	"adhocconsensus/internal/cli"
 	"adhocconsensus/internal/events"
 	"adhocconsensus/internal/sim"
+	"adhocconsensus/internal/sink"
 	"adhocconsensus/internal/telemetry"
 )
 
@@ -41,12 +42,12 @@ func (o Outcome) Err() error {
 // aborts, leaving the flushed valid prefix on disk. onEnter (when non-nil)
 // observes each segment as it starts, for progress rendering.
 //
-// The per-segment Executed/Quarantined/RecordBytes accounting is built from
-// deltas of the process-global sink counters, which is why a supervisor
-// must not interleave two Streams — the Supervisor's single execution slot
-// exists to keep this accounting exact.
+// Stream owns each segment's *sink.JSONL: it creates it over w, flushes it,
+// and reads the segment's executed, quarantined and record-byte counts from
+// its Tally, so those counts belong to this call alone. Only the by-cause
+// quarantine split is a delta of the process-global sim.quarantine.*
+// counters, which is why a supervisor must not interleave two Streams.
 func Stream(ctx context.Context, segs []Segment, skips []int, w io.Writer, onEnter func(name string)) Outcome {
-	sm := telemetry.SinkIO()
 	tm := telemetry.Sim()
 	jal := events.Active()
 	panicBase, deadlineBase := tm.QuarantinePanic.Load(), tm.QuarantineDeadline.Load()
@@ -56,36 +57,38 @@ func Stream(ctx context.Context, segs []Segment, skips []int, w io.Writer, onEnt
 			onEnter(s.Name)
 		}
 		segStart := time.Now()
-		recBase, byteBase, quarBase := sm.Records.Load(), sm.Bytes.Load(), sm.Quarantined.Load()
 		span := jal.BeginSegment(s.Name)
-		err := s.Stream(ctx, skips[i], w)
-		executed := int(sm.Records.Load() - recBase)
+		j := sink.NewJSONL(w)
+		j.Exp = s.Name
+		err := s.Stream(ctx, skips[i], j)
+		var te *sim.TrialError
+		perTrial := errors.As(err, &te)
+		// A tail that never reached w aborts the run, even one whose trials
+		// all completed.
+		if ferr := j.Flush(); ferr != nil && (err == nil || perTrial) {
+			err, perTrial = cli.WithExit(cli.ExitSink, ferr), false
+		}
+		executed, quarantined, recBytes := j.Tally()
 		out.Segments = append(out.Segments, telemetry.ReportSegment{
 			Name:        s.Name,
 			Schedule:    s.Schedule,
 			Planned:     s.Length,
 			Salvaged:    skips[i],
 			Executed:    executed,
-			Quarantined: int(sm.Quarantined.Load() - quarBase),
+			Quarantined: quarantined,
 			WallNs:      time.Since(segStart).Nanoseconds(),
-			RecordBytes: sm.Bytes.Load() - byteBase,
+			RecordBytes: recBytes,
 		})
-		if err == nil {
-			jal.EndSegment(span, int64(executed), "")
-			continue
-		}
-		err = fmt.Errorf("%s: %w", s.Name, err)
-		var te *sim.TrialError
-		if errors.As(err, &te) {
+		if err == nil || perTrial {
 			// Per-trial errors do not stop the run; the segment completed.
 			jal.EndSegment(span, int64(executed), "")
-			if out.TrialErr == nil {
-				out.TrialErr = err
+			if err != nil && out.TrialErr == nil {
+				out.TrialErr = fmt.Errorf("%s: %w", s.Name, err)
 			}
 			continue
 		}
 		jal.EndSegment(span, int64(executed), "abort")
-		out.AbortErr = err
+		out.AbortErr = fmt.Errorf("%s: %w", s.Name, err)
 		break
 	}
 	out.Causes = telemetry.ReportQuarantine{
@@ -111,9 +114,9 @@ func StatusOf(abortErr, trialErr error) string {
 
 // BuildReport assembles the run report from the segment accounting and the
 // live registry. The by-cause quarantine split comes from the sweep
-// runner's counters; causes it cannot see (work-item pipelines classify
-// their own errors, records that never reached the sink) land in Other, so
-// the causes always sum to the sink-observed total the validator checks.
+// runner's counters, which count a quarantine when the sink accepts its
+// record — the moment the segment's sink tallies it — so panic and
+// deadline are part of the sinks' total and Other is the rest.
 func BuildReport(command, status string, wall time.Duration, segs []telemetry.ReportSegment, causes telemetry.ReportQuarantine) *telemetry.Report {
 	rep := &telemetry.Report{
 		Schema:    telemetry.ReportSchema,
@@ -129,15 +132,8 @@ func BuildReport(command, status string, wall time.Duration, segs []telemetry.Re
 		rep.Trials.Executed += s.Executed
 		rep.Trials.Quarantined.Total += s.Quarantined
 	}
-	total := rep.Trials.Quarantined.Total
-	if causes.Panic > total {
-		causes.Panic = total
-	}
-	if causes.Deadline > total-causes.Panic {
-		causes.Deadline = total - causes.Panic
-	}
-	causes.Other = total - causes.Panic - causes.Deadline
-	causes.Total = total
+	causes.Total = rep.Trials.Quarantined.Total
+	causes.Other = causes.Total - causes.Panic - causes.Deadline
 	rep.Trials.Quarantined = causes
 	if c := EngineCalibrationSnapshot(); c != nil {
 		rep.Calibration = c

@@ -3,14 +3,10 @@ package jobs
 import (
 	"context"
 	"fmt"
-	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"adhocconsensus"
 	"adhocconsensus/internal/cli"
-	"adhocconsensus/internal/events"
 	"adhocconsensus/internal/experiments"
 	"adhocconsensus/internal/sim"
 	"adhocconsensus/internal/sink"
@@ -38,10 +34,12 @@ type Segment struct {
 	// Verify checks that rec is exactly the segment's pos-th planned record
 	// (identity only — outcomes are whatever the recorded run produced).
 	Verify func(pos int, rec sink.Record) error
-	// Stream executes the segment's trials from skip on, appending records
-	// to w. It must flush its JSONL tail before returning, even when
-	// canceled, so an interrupted file still ends on a record boundary.
-	Stream func(ctx context.Context, skip int, w io.Writer) error
+	// Stream executes the segment's trials from skip on, writing one record
+	// per trial to j. The caller (jobs.Stream) owns j: it labels it with the
+	// segment's Name, flushes it afterwards — even when canceled, so an
+	// interrupted file still ends on a record boundary — and reads the
+	// segment's accounting from its Tally.
+	Stream func(ctx context.Context, skip int, j *sink.JSONL) error
 }
 
 // GridSegment plans one scenario-grid experiment's shard.
@@ -86,27 +84,22 @@ func GridSegment(e experiments.GridExperiment, shard, shards, workers int, timeo
 			}
 			return nil
 		},
-		Stream: func(ctx context.Context, skip int, w io.Writer) error {
-			j := sink.NewJSONL(w)
-			j.Exp = e.Name
+		Stream: func(ctx context.Context, skip int, j *sink.JSONL) error {
 			j.Params = func(i int) sink.Params { return params[i] }
 			// Retry absorbs transiently failing writes (sink.MarkRetryable)
 			// under bounded exponential backoff before aborting the sweep;
 			// Ctx lets a drain abort a retry loop mid-backoff.
-			err := (sim.Runner{Workers: workers, TrialTimeout: timeout}).
+			return (sim.Runner{Workers: workers, TrialTimeout: timeout}).
 				SweepTrialsToCtx(ctx, shardTrials[skip:], &sink.Retry{Base: j, Ctx: ctx})
-			if ferr := j.Flush(); err == nil && ferr != nil {
-				err = cli.WithExit(cli.ExitSink, ferr)
-			}
-			return err
 		},
 	}, nil
 }
 
 // WorkSegment plans one work-item pipeline's shard: the bespoke analog of
-// GridSegment. Items execute on the worker pool through the crash guard
-// (and the deadline watchdog when the timeout is set); records stream in
-// item order, quarantined items included.
+// GridSegment. Items execute through the crash guard (and the deadline
+// watchdog when the timeout is set) on sim.Runner's ordered-delivery loop,
+// so they are canceled, counted and journaled like scenario trials;
+// records stream in item order, quarantined items included.
 func WorkSegment(e experiments.WorkExperiment, shard, shards, workers int, timeout time.Duration) (Segment, error) {
 	items, runItem, _, err := e.Build()
 	if err != nil {
@@ -137,70 +130,36 @@ func WorkSegment(e experiments.WorkExperiment, shard, shards, workers int, timeo
 			}
 			return nil
 		},
-		Stream: func(ctx context.Context, skip int, w io.Writer) error {
-			return streamWorkItems(ctx, e.Name, shardItems[skip:], run, workers, w)
+		Stream: func(ctx context.Context, skip int, j *sink.JSONL) error {
+			items := shardItems[skip:]
+			outs := make([]string, len(items))
+			// The runner's ordered loop delivers each item's Result — its
+			// identity and error — while the outcome waits in outs until its
+			// record is written.
+			next := 0
+			write := resultSinkFunc(func(r sim.Result) error {
+				rec := sink.RecordOfItem(e.Name, items[next], outs[next])
+				if r.Err != nil {
+					rec.Out, rec.Err = "", r.Err.Error()
+				}
+				outs[next] = "" // release once delivered
+				next++
+				return j.WriteRecord(rec)
+			})
+			return (sim.Runner{Workers: workers}).SweepFuncToCtx(ctx, len(items), func(i int) sim.Result {
+				item := items[i]
+				out, err := run(item)
+				outs[i] = out
+				return sim.Result{Index: item.Index, Name: item.Kind, Seed: item.Seed, Err: err}
+			}, write)
 		},
 	}, nil
 }
 
-// streamWorkItems executes work items on the pool and streams their records
-// in item order through a reorder window, mirroring the ordered-delivery
-// contract of sim's sweep path: an item that fails (a recovered executor
-// panic, a deadline overrun) streams as a quarantine record in its slot and
-// does not stop the pipeline; the first such error is returned after all
-// items ran (a *sim.TrialError). Cancellation drains in-flight items,
-// flushes the contiguous completed prefix, and returns a *sim.CanceledError.
-func streamWorkItems(ctx context.Context, exp string, items []sink.WorkItem, run experiments.WorkRunFunc, workers int, w io.Writer) error {
-	j := sink.NewJSONL(w)
-	var (
-		aborted  atomic.Bool
-		mu       sync.Mutex
-		next     int
-		outs     = make([]string, len(items))
-		errs     = make([]error, len(items))
-		done     = make([]bool, len(items))
-		firstErr error
-		sinkErr  error
-	)
-	ctxErr := (sim.Runner{Workers: workers}).MapCtx(ctx, len(items), func(i int) {
-		if aborted.Load() {
-			return
-		}
-		out, err := run(items[i])
-		mu.Lock()
-		defer mu.Unlock()
-		outs[i], errs[i], done[i] = out, err, true
-		for next < len(items) && done[next] {
-			item := items[next]
-			rec := sink.RecordOfItem(exp, item, outs[next])
-			if err := errs[next]; err != nil {
-				rec.Out, rec.Err = "", err.Error()
-				events.Active().Point(events.TypeQuarantine, int64(item.Index), 0, sim.QuarantineCause(err))
-				if firstErr == nil {
-					firstErr = &sim.TrialError{Index: item.Index, Name: item.Kind, Err: err}
-				}
-			}
-			outs[next], errs[next] = "", nil // release once delivered
-			if sinkErr == nil {
-				if err := j.WriteRecord(rec); err != nil {
-					sinkErr = &sim.SinkError{Err: err}
-					aborted.Store(true)
-				}
-			}
-			next++
-		}
-	})
-	ferr := j.Flush()
-	switch {
-	case sinkErr != nil:
-		return sinkErr
-	case ctxErr != nil:
-		return &sim.CanceledError{Done: next, Total: len(items), Err: ctxErr}
-	case ferr != nil:
-		return cli.WithExit(cli.ExitSink, ferr)
-	}
-	return firstErr
-}
+// resultSinkFunc adapts a function to sim.ResultSink.
+type resultSinkFunc func(sim.Result) error
+
+func (f resultSinkFunc) Consume(r sim.Result) error { return f(r) }
 
 // TrialsSegment plans one configuration-sweep shard through the public
 // streaming API.
@@ -252,15 +211,9 @@ func TrialsSegment(cf *cli.ConfigFlags, trials, shard, shards, workers int, time
 			}
 			return nil
 		},
-		Stream: func(ctx context.Context, skip int, w io.Writer) error {
-			j := sink.NewJSONL(w)
-			j.Exp = "trials"
+		Stream: func(ctx context.Context, skip int, j *sink.JSONL) error {
 			s := &jsonlTrials{j: j, params: params, wantFP: salvagedFP}
-			err := cfg.StreamTrialsFrom(ctx, trials, workers, shard, shards, skip, s)
-			if ferr := j.Flush(); err == nil && ferr != nil {
-				err = cli.WithExit(cli.ExitSink, ferr)
-			}
-			return err
+			return cfg.StreamTrialsFrom(ctx, trials, workers, shard, shards, skip, s)
 		},
 	}, nil
 }

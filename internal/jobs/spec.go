@@ -81,8 +81,8 @@ func (s Spec) Fingerprint() string {
 }
 
 // BuildSegments compiles the spec into its segment plan. Experiments
-// resolve by name exactly as "sweeprun run -exp" resolves them ("all"
-// included); a Trials spec parses its Config flag-args through the same
+// resolve through ExperimentSegments, the resolver "sweeprun run -exp"
+// uses; a Trials spec parses its Config flag-args through the same
 // registry consensus-sim uses.
 func BuildSegments(spec Spec) ([]Segment, error) {
 	spec.Normalize()
@@ -105,42 +105,40 @@ func BuildSegments(spec Spec) ([]Segment, error) {
 		}
 		return []Segment{seg}, nil
 	}
-	var segs []Segment
-	add := func(name string) error {
+	return ExperimentSegments(spec.Exps, spec.Shard, spec.Shards, spec.Workers, spec.TrialTimeout)
+}
+
+// ExperimentSegments plans the named experiments' shards, one segment per
+// experiment in request order. Names are trimmed; "all" expands in place to
+// every grid experiment, then every work pipeline.
+func ExperimentSegments(names []string, shard, shards, workers int, timeout time.Duration) ([]Segment, error) {
+	plan := func(name string) (Segment, error) {
 		if e, ok := experiments.GridExperimentByName(name); ok {
-			seg, err := GridSegment(e, spec.Shard, spec.Shards, spec.Workers, spec.TrialTimeout)
-			if err != nil {
-				return err
-			}
-			segs = append(segs, seg)
-			return nil
+			return GridSegment(e, shard, shards, workers, timeout)
 		}
 		if e, ok := experiments.WorkExperimentByName(name); ok {
-			seg, err := WorkSegment(e, spec.Shard, spec.Shards, spec.Workers, spec.TrialTimeout)
-			if err != nil {
-				return err
-			}
-			segs = append(segs, seg)
-			return nil
+			return WorkSegment(e, shard, shards, workers, timeout)
 		}
-		return fmt.Errorf("no experiment %q (grids: T1..T5, T8, A1, A2; work pipelines: T6, T7, T9, A3, M1)", name)
+		return Segment{}, fmt.Errorf("no experiment %q (grids: T1..T5, T8, A1, A2; work pipelines: T6, T7, T9, A3, M1)", name)
 	}
-	for _, name := range spec.Exps {
-		if name == "all" {
+	var segs []Segment
+	for _, name := range names {
+		expanded := []string{strings.TrimSpace(name)}
+		if expanded[0] == "all" {
+			expanded = nil
 			for _, e := range experiments.GridExperiments() {
-				if err := add(e.Name); err != nil {
-					return nil, err
-				}
+				expanded = append(expanded, e.Name)
 			}
 			for _, e := range experiments.WorkExperiments() {
-				if err := add(e.Name); err != nil {
-					return nil, err
-				}
+				expanded = append(expanded, e.Name)
 			}
-			continue
 		}
-		if err := add(strings.TrimSpace(name)); err != nil {
-			return nil, err
+		for _, name := range expanded {
+			seg, err := plan(name)
+			if err != nil {
+				return nil, err
+			}
+			segs = append(segs, seg)
 		}
 	}
 	return segs, nil
@@ -160,7 +158,10 @@ func Execute(ctx context.Context, spec Spec, info io.Writer) (*telemetry.Report,
 	if err != nil {
 		return nil, cli.WithExit(cli.ExitUsage, err)
 	}
-	telemetry.Enable() // report accounting reads the counters
+	// The report's quarantine cause split, histograms and metrics snapshot
+	// read the process-global counters; its trial counts come from the
+	// segments' sinks.
+	telemetry.Enable()
 	skips := make([]int, len(segs))
 	f, err := Salvage(spec.Out, segs, skips, info)
 	if err != nil {

@@ -5,8 +5,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"adhocconsensus/internal/experiments"
 )
 
 // TestSpecValidate pins the admission-time rejections.
@@ -68,6 +71,31 @@ func TestBuildSegmentsRejects(t *testing.T) {
 	}
 	if _, err := BuildSegments(Spec{Trials: 5, Config: []string{"-alg", "propose", "stray"}, Out: "x"}); err == nil {
 		t.Fatal("stray non-flag argument compiled")
+	}
+}
+
+// TestExperimentSegmentsExpandAll: "all" expands in place to every grid,
+// then every work pipeline, and names are trimmed — the one resolver behind
+// both a job spec's exps and "sweeprun run -exp".
+func TestExperimentSegmentsExpandAll(t *testing.T) {
+	segs, err := ExperimentSegments([]string{"all", " T3"}, 0, 1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, e := range experiments.GridExperiments() {
+		want = append(want, e.Name)
+	}
+	for _, e := range experiments.WorkExperiments() {
+		want = append(want, e.Name)
+	}
+	want = append(want, "T3")
+	var got []string
+	for _, s := range segs {
+		got = append(got, s.Name)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("segments %v, want %v", got, want)
 	}
 }
 

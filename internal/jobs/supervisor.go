@@ -71,11 +71,11 @@ func (o Options) attempts() int {
 // circuit breaker, checkpointing through the shard files' salvage/resume
 // machinery, and a graceful drain that parks running work resumable.
 //
-// One slot, deliberately: Stream's per-segment accounting is built from
-// deltas of process-global telemetry counters, so two jobs executing
-// concurrently would interleave their accounting. Each job parallelizes
-// internally through the trial worker pool — the slot serializes jobs, not
-// trials.
+// One slot, deliberately: each segment's trial counts come from its own
+// sink, but the run report's quarantine cause split, histograms and metrics
+// snapshot are read from process-global telemetry, so two jobs executing
+// concurrently would mix those. Each job parallelizes internally through
+// the trial worker pool — the slot serializes jobs, not trials.
 type Supervisor struct {
 	opts Options
 	q    *queue

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -79,5 +80,38 @@ func TestSweepDeadlineQuarantineCause(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no quarantine point journaled for the overrun")
+	}
+}
+
+// refuseAt is a sink that refuses the record at one index and counts the
+// quarantine records it accepted.
+type refuseAt struct {
+	at          int
+	quarantined int
+}
+
+func (s *refuseAt) Consume(r Result) error {
+	if r.Index == s.at {
+		return errors.New("refused")
+	}
+	if r.Err != nil {
+		s.quarantined++
+	}
+	return nil
+}
+
+// TestRefusedQuarantineIsNotJournaled: a quarantine is journaled (and
+// counted by cause) when the sink accepts its record, so a quarantined
+// record the sink refuses leaves no point behind and the journal agrees
+// with what the sink holds.
+func TestRefusedQuarantineIsNotJournaled(t *testing.T) {
+	j := activateJournal(t, events.Options{})
+	s := &refuseAt{at: 2}
+	var se *SinkError
+	if err := (Runner{Workers: 1}).SweepTo(quarantineGrid(2), s); !errors.As(err, &se) {
+		t.Fatalf("SweepTo = %v, want a *SinkError", err)
+	}
+	if points := events.CountTypes(j.Snapshot(0))[events.TypeQuarantine]; points != s.quarantined {
+		t.Fatalf("%d quarantine points journaled, sink accepted %d quarantined records", points, s.quarantined)
 	}
 }

@@ -216,7 +216,7 @@ func (r Runner) SweepTo(scenarios []Scenario, sink ResultSink) error {
 // prefix is exactly what an uninterrupted sweep would have produced for
 // those indices, so a flushed JSONL shard remains valid for resume.
 func (r Runner) SweepToCtx(ctx context.Context, scenarios []Scenario, sink ResultSink) error {
-	return r.sweepTo(ctx, len(scenarios), func(i int) Result {
+	return r.SweepFuncToCtx(ctx, len(scenarios), func(i int) Result {
 		return r.guardedTrial(i, scenarios[i])
 	}, sink)
 }
@@ -233,7 +233,7 @@ func (r Runner) SweepTrialsTo(trials []Trial, sink ResultSink) error {
 // SweepTrialsToCtx is SweepTrialsTo with the cancellation semantics of
 // SweepToCtx.
 func (r Runner) SweepTrialsToCtx(ctx context.Context, trials []Trial, sink ResultSink) error {
-	return r.sweepTo(ctx, len(trials), func(i int) Result {
+	return r.SweepFuncToCtx(ctx, len(trials), func(i int) Result {
 		return r.guardedTrial(trials[i].Index, trials[i].Scenario)
 	}, sink)
 }
@@ -274,18 +274,23 @@ func (r Runner) guardedTrial(index int, s Scenario) (res Result) {
 	return res
 }
 
-// sweepTo runs fn(0..n-1) on the pool and hands each Result to the sink in
-// ascending slot order. A mutex-guarded reorder window bridges out-of-order
-// completion to the sink's strictly sequential contract; the sink is never
-// called concurrently. A Consume error aborts the sweep: trials already in
-// flight finish (at most one per worker), every other remaining trial is
-// skipped, and a *SinkError is returned. Cancellation through ctx likewise
-// drains in-flight trials, but delivery stops at the first record that
-// finds ctx done, and a *CanceledError is returned. Per-trial errors, by
-// contrast, never stop the sweep — each trial is independent, and the
-// caller gets the first one (by slot order, as a *TrialError) after all
-// trials ran.
-func (r Runner) sweepTo(ctx context.Context, n int, fn func(i int) Result, sink ResultSink) error {
+// SweepFuncToCtx is the one ordered-delivery loop under every sweep: it runs
+// fn(0..n-1) on the pool and hands each Result to the sink in ascending slot
+// order. Scenario sweeps reach it through SweepToCtx and SweepTrialsToCtx;
+// callers whose trials are not engine runs (work-item pipelines) pass their
+// own fn, which must recover its own panics and apply its own deadline —
+// TrialTimeout guards only scenario trials. A mutex-guarded reorder window
+// bridges out-of-order completion to the sink's strictly sequential
+// contract; the sink is never called concurrently. A Consume error aborts
+// the sweep: trials already in flight finish (at most one per worker),
+// every other remaining trial is skipped, and a *SinkError is returned.
+// Cancellation through ctx likewise drains in-flight trials, but delivery
+// stops at the first record that finds ctx done, and a *CanceledError is
+// returned. Per-trial errors (a non-nil Result.Err), by contrast, never stop
+// the sweep — each trial is independent, and the caller gets the first one
+// (by slot order, as a *TrialError) after all trials ran. A quarantined
+// result is counted by cause and journaled once, when the sink accepts it.
+func (r Runner) SweepFuncToCtx(ctx context.Context, n int, fn func(i int) Result, sink ResultSink) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -357,12 +362,8 @@ func (r Runner) sweepTo(ctx context.Context, n int, fn func(i int) Result, sink 
 				}
 				batchN++
 			}
-			if out.Err != nil {
-				quarantineCounter(tm, out.Err).Inc()
-				jal.Point(events.TypeQuarantine, int64(out.Index), 0, QuarantineCause(out.Err))
-				if firstErr == nil {
-					firstErr = &TrialError{Index: out.Index, Name: out.Name, Err: out.Err}
-				}
+			if out.Err != nil && firstErr == nil {
+				firstErr = &TrialError{Index: out.Index, Name: out.Name, Err: out.Err}
 			}
 			if sinkErr == nil {
 				if err := sink.Consume(out); err != nil {
@@ -371,6 +372,10 @@ func (r Runner) sweepTo(ctx context.Context, n int, fn func(i int) Result, sink 
 					aborted.Store(true)
 				} else {
 					delivered++
+					if out.Err != nil {
+						quarantineCounter(tm, out.Err).Inc()
+						jal.Point(events.TypeQuarantine, int64(out.Index), 0, QuarantineCause(out.Err))
+					}
 				}
 			}
 			next++

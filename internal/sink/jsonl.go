@@ -32,6 +32,10 @@ type JSONL struct {
 	scratch []byte
 	vals    []uint64
 	fps     map[Params]string // fingerprint cache: grids repeat configurations across trials
+
+	// The sink's own tally of the records it accepted (see Tally).
+	records, quarantined int
+	bytes                uint64
 }
 
 // NewJSONL returns a JSONL sink writing to w through a buffer. Call Flush
@@ -81,6 +85,13 @@ func (j *JSONL) WriteRecord(rec Record) error {
 	}
 	j.scratch = appendRecord(j.scratch[:0], rec)
 	n, err := j.w.Write(j.scratch)
+	if err == nil {
+		j.records++
+		j.bytes += uint64(n)
+		if rec.Err != "" {
+			j.quarantined++
+		}
+	}
 	// Telemetry observes the stream; it never alters it. All calls are
 	// nil-receiver no-ops when disabled and allocation-free when enabled,
 	// preserving the sink's zero-steady-state-allocation contract.
@@ -91,6 +102,14 @@ func (j *JSONL) WriteRecord(rec Record) error {
 		sm.Quarantined.Inc()
 	}
 	return err
+}
+
+// Tally reports what this sink accepted: the records whose line was
+// written, how many of them were quarantine records, and their bytes. A
+// refused write counts nowhere. Unlike the process-wide sink.* counters it
+// is always on and belongs to this sink alone.
+func (j *JSONL) Tally() (records, quarantined int, bytes uint64) {
+	return j.records, j.quarantined, j.bytes
 }
 
 // Flush implements Flusher.

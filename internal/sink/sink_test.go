@@ -94,6 +94,41 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// failingWriter refuses every write, like a full disk.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestJSONLTally: the sink tallies the records it accepted, the quarantine
+// records among them, and their bytes; a write it refuses counts nowhere,
+// including the one that fills the buffer and fails part-way.
+func TestJSONLTally(t *testing.T) {
+	j := NewJSONL(failingWriter{}) // the buffer accepts lines until it fills
+	var records, quarantined int
+	var bytes uint64
+	for i := 0; ; i++ {
+		rec := Record{Exp: "tally", Index: i, Seed: int64(i)}
+		if i%3 == 0 {
+			rec.Err = "sim: trial exceeded its 1ns deadline"
+		}
+		if err := j.WriteRecord(rec); err != nil {
+			break
+		}
+		records++
+		if rec.Err != "" {
+			quarantined++
+		}
+		rec.Schema = Schema
+		bytes += uint64(len(appendRecord(nil, rec)))
+	}
+	if err := j.WriteRecord(Record{Exp: "tally", Err: "x"}); err == nil {
+		t.Fatal("write after the failure succeeded")
+	}
+	if r, q, b := j.Tally(); r != records || q != quarantined || b != bytes || r == 0 {
+		t.Fatalf("Tally = %d records, %d quarantined, %d bytes; accepted %d, %d, %d", r, q, b, records, quarantined, bytes)
+	}
+}
+
 // TestEncoderMatchesEncodingJSON pins the hand-rolled encoder to the
 // Record struct's json tags: every line must decode into the record that
 // produced it, including escapes and omitted empties.

@@ -140,6 +140,10 @@ func (r *Report) Validate() error {
 		if s.Name == "" {
 			return fmt.Errorf("telemetry: segment %d has no name", i)
 		}
+		if min(s.Planned, s.Salvaged, s.Executed, s.Quarantined) < 0 {
+			return fmt.Errorf("telemetry: segment %s has a negative count (%d/%d/%d/%d planned/salvaged/executed/quarantined)",
+				s.Name, s.Planned, s.Salvaged, s.Executed, s.Quarantined)
+		}
 		if s.Salvaged+s.Executed > s.Planned {
 			return fmt.Errorf("telemetry: segment %s accounts %d salvaged + %d executed > %d planned",
 				s.Name, s.Salvaged, s.Executed, s.Planned)
@@ -159,6 +163,9 @@ func (r *Report) Validate() error {
 	}
 	if t.Quarantined.Total != quarantined {
 		return fmt.Errorf("telemetry: quarantine total %d disagrees with segment sum %d", t.Quarantined.Total, quarantined)
+	}
+	if q := t.Quarantined; min(q.Panic, q.Deadline, q.Other) < 0 {
+		return fmt.Errorf("telemetry: negative quarantine cause count (panic %d, deadline %d, other %d)", q.Panic, q.Deadline, q.Other)
 	}
 	if sum := t.Quarantined.Panic + t.Quarantined.Deadline + t.Quarantined.Other; sum != t.Quarantined.Total {
 		return fmt.Errorf("telemetry: quarantine causes sum to %d, total is %d", sum, t.Quarantined.Total)

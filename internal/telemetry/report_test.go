@@ -64,6 +64,16 @@ func TestReportValidateRejects(t *testing.T) {
 			r.Trials.Quarantined = ReportQuarantine{Total: 1, Panic: 0, Deadline: 0, Other: 0}
 			r.Trials.Quarantined.Panic = 2
 		}, "causes sum"},
+		{"negative-cause", func(r *Report) {
+			// Sums to the total, so only the sign check catches it.
+			r.Status = StatusTrialErrors
+			r.Segments[1].Quarantined = 1
+			r.Trials.Quarantined = ReportQuarantine{Total: 1, Panic: 2, Other: -1}
+		}, "negative quarantine cause"},
+		{"negative-segment", func(r *Report) {
+			r.Segments[0].Salvaged, r.Segments[0].Executed = -1, 7
+			r.Trials.Salvaged, r.Trials.Executed = -1, 11
+		}, "negative count"},
 		{"ok-with-quarantine", func(r *Report) {
 			r.Segments[1].Quarantined = 1
 			r.Trials.Quarantined = ReportQuarantine{Total: 1, Other: 1}
