@@ -713,9 +713,11 @@ func (c Config) ReplayFlagged(results []TrialResult, sel ReplaySelector) ([]*Rep
 			Index:      r.Trial,
 			Rounds:     r.Rounds,
 			AllDecided: r.Decided,
-			// FlagRecords reads only the digest verdict fields.
+			// FlagRecords reads only the digest verdict fields and the
+			// quarantine error.
 			AgreementOK: r.AgreementOK,
 			ValidityOK:  r.ValidityOK,
+			Err:         r.Err,
 		}
 		byTrial[r.Trial] = r
 	}

@@ -559,3 +559,29 @@ func TestReplayFlaggedSelectsAnomalies(t *testing.T) {
 		t.Fatalf("empty selector flagged %d trials (%v)", len(reports), err)
 	}
 }
+
+// TestReplayFlaggedSkipsQuarantined: a quarantined trial carries no digest to
+// audit, so it is flagged neither as undecided nor as a violation, nor
+// ranked among the slowest; only the recorded trial is replayed.
+func TestReplayFlaggedSkipsQuarantined(t *testing.T) {
+	cfg := Config{Algorithm: AlgorithmPropose, Values: []Value{3, 7, 7, 1}, Seed: 5}
+	var recorded []TrialResult
+	cfg.ResultSink = trialRecorder{&recorded}
+	if _, err := cfg.RunTrials(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	cfg.ResultSink = nil
+	recorded[1] = TrialResult{Trial: 1, Seed: recorded[1].Seed, Fingerprint: recorded[1].Fingerprint, Err: "panic: boom"}
+
+	reports, err := cfg.ReplayFlagged(recorded, ReplaySelector{Undecided: true, Violations: true, TopSlowest: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 1 || reports[0].Trial != 0 {
+		t.Fatalf("flagged %d trial(s), want only the recorded trial 0", len(reports))
+	}
+	if !reports[0].OK() {
+		t.Fatalf("trial 0 failed its audit: %q %q", reports[0].Mismatch, reports[0].TraceError)
+	}
+	reports[0].Report.Execution.Release()
+}

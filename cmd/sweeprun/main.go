@@ -20,17 +20,18 @@
 // shard; a second signal kills the process immediately. "sweeprun run
 // -resume -o FILE ..." reloads a partial shard file — including one a crash
 // or SIGKILL left with a torn final line — salvages its valid record
-// prefix, verifies that prefix against this build's derivation (experiment
-// membership, global indices, seed schedule, fingerprints), truncates the
-// torn tail, and appends only the trials not yet durable, so the finished
-// file is byte-identical to an uninterrupted run's.
+// prefix, checks each record with its segment's plan (replay.Plan:
+// experiment, global index, seed, seed schedule, params, fingerprint),
+// truncates the torn tail, and appends only the trials not yet durable, so
+// the finished file is byte-identical to an uninterrupted run's.
 //
-// "sweeprun merge" reads any set of shard files, verifies they form a
-// complete, non-overlapping, fingerprint-consistent cover, and renders
-// exactly what the in-process single-machine path produces (golden-tested
-// byte-identical). When verification rejects the set, it prints a per-shard
-// verdict identifying the offending file(s) and exits non-zero; -quiet
-// reduces success output to one PASS/FAIL line per experiment for CI.
+// "sweeprun merge" reads any set of shard files, checks every record with
+// its group's plan and that the records form a complete, non-overlapping
+// cover, and renders exactly what the in-process single-machine path
+// produces (golden-tested byte-identical). When the plan rejects the set,
+// it runs the same checks on each file, prints the per-shard verdicts
+// identifying the offending file(s), and exits non-zero; -quiet reduces
+// success output to one PASS/FAIL line per experiment for CI.
 //
 // "sweeprun replay" renders the same tables from recorded results alone —
 // no simulation runs; the engine is never invoked. It is the
@@ -208,8 +209,8 @@ const eventsHelp = `The structured event journal (internal/events) records a run
 hierarchical spans (job -> segment -> trial-batch, as <scope>.begin/.end
 pairs sharing a span id) and point events (job.admit, job.dedupe,
 job.evict, job.retry, job.checkpoint, job.cancel, job.quarantine, drain,
-salvage, torn_tail, quarantine with cause=panic|deadline|other, sink.flush,
-sink.retry), each stamped with a monotonic sequence number. It is strictly
+salvage, torn_tail, quarantine with cause=panic|deadline|other,
+sink.flush), each stamped with a monotonic sequence number. It is strictly
 read-only: shard files are byte-identical with the journal on or off.
 
   sweeprun run -events -o FILE ...   also writes FILE.events.jsonl, the
@@ -567,105 +568,27 @@ func printShardVerdicts(out io.Writer, files []shardFile, exp string, verdict fu
 	}
 }
 
-// experimentShardVerdict checks one file's records for one experiment
-// against this build's derivation — a partial-cover version of the merge
-// guards, used to point at the offending shard when the merged set is
-// rejected.
-func experimentShardVerdict(name string, sf shardFile) error {
-	var recs []sink.Record
-	for _, rec := range sf.recs {
-		if rec.Exp == name {
-			recs = append(recs, rec)
-		}
-	}
-	if len(recs) == 0 {
-		return nil // carries nothing for this experiment
-	}
-	seen := make(map[int]bool, len(recs))
-	for _, rec := range recs {
-		if seen[rec.Index] {
-			return fmt.Errorf("duplicate record for trial %d", rec.Index)
-		}
-		seen[rec.Index] = true
-	}
-	if e, ok := experiments.GridExperimentByName(name); ok {
-		scenarios, _, err := e.Build()
-		if err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			if rec.Index < 0 || rec.Index >= len(scenarios) {
-				return fmt.Errorf("trial %d outside this build's %d-trial grid", rec.Index, len(scenarios))
-			}
-			if fp := sink.ParamsOf(scenarios[rec.Index]).Fingerprint(); rec.Fingerprint != fp {
-				return fmt.Errorf("trial %d fingerprint %s does not match this build's grid (%s)", rec.Index, rec.Fingerprint, fp)
-			}
-			if rec.Seed != scenarios[rec.Index].Seed {
-				return fmt.Errorf("trial %d seed %d does not match this build's grid (%d)", rec.Index, rec.Seed, scenarios[rec.Index].Seed)
-			}
-		}
-		return nil
-	}
-	if e, ok := experiments.WorkExperimentByName(name); ok {
-		items, _, _, err := e.Build()
-		if err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			if rec.Index < 0 || rec.Index >= len(items) {
-				return fmt.Errorf("item %d outside this build's %d-item pipeline", rec.Index, len(items))
-			}
-			item := items[rec.Index]
-			if rec.Item != item.Kind || rec.ItemParams != item.Params || rec.Fingerprint != item.Fingerprint() || rec.Seed != item.Seed {
-				return fmt.Errorf("item %d does not match this build's pipeline (recorded %s(%s) fp=%s seed=%d)",
-					rec.Index, rec.Item, rec.ItemParams, rec.Fingerprint, rec.Seed)
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("no experiment %q in this build", name)
-}
-
-// trialsShardVerdict builds a per-file verdict for a rejected "trials"
-// group. A configuration sweep has no build-side derivation to check
-// against (the producing Config is not in the shard files), so the verdict
-// is relative: every file must be internally consistent and carry the
-// majority fingerprint across the whole set — which names the foreign
-// shard(s) when configurations were mixed.
-func trialsShardVerdict(files []shardFile) func(sf shardFile) error {
-	counts := make(map[string]int)
-	for _, sf := range files {
-		seen := make(map[string]bool)
-		for _, rec := range sf.recs {
-			if rec.Exp == "trials" && !seen[rec.Fingerprint] {
-				seen[rec.Fingerprint] = true
-				counts[rec.Fingerprint]++
-			}
-		}
-	}
-	majority := ""
-	for fp, n := range counts {
-		if n > counts[majority] || (n == counts[majority] && fp > majority) {
-			majority = fp
-		}
-	}
+// shardVerdict returns the per-file verdict for a rejected group: the
+// per-record checks merge ran on the whole group (the plan's CheckGroup,
+// with the plan merge derived from the same records), run on one file's
+// records of it — which names the shards the fault lies in. A file
+// carrying nothing for the group passes.
+func shardVerdict(name string, group []sink.Record) func(sf shardFile) error {
+	plan, err := replay.PlanOf(name, group)
 	return func(sf shardFile) error {
-		var fp string
+		var recs []sink.Record
 		for _, rec := range sf.recs {
-			if rec.Exp != "trials" {
-				continue
-			}
-			switch {
-			case fp == "":
-				fp = rec.Fingerprint
-			case rec.Fingerprint != fp:
-				return fmt.Errorf("mixes configurations (fingerprints %s and %s)", fp, rec.Fingerprint)
+			if rec.Exp == name {
+				recs = append(recs, rec)
 			}
 		}
-		if fp != "" && fp != majority {
-			return fmt.Errorf("fingerprint %s differs from the set's majority %s — different configuration or base seed", fp, majority)
+		if len(recs) == 0 {
+			return nil
 		}
-		return nil
+		if err != nil {
+			return err
+		}
+		return plan.CheckGroup(recs)
 	}
 }
 
@@ -712,13 +635,7 @@ func mergeRender(paths []string, out io.Writer, quiet bool) error {
 		pass, err := cli.RenderGroup(out, name, run.Groups[name], quiet)
 		if err != nil {
 			fmt.Fprintf(out, "%s: shard set rejected\n", name)
-			if name == "trials" {
-				printShardVerdicts(out, files, name, trialsShardVerdict(files))
-			} else {
-				printShardVerdicts(out, files, name, func(sf shardFile) error {
-					return experimentShardVerdict(name, sf)
-				})
-			}
+			printShardVerdicts(out, files, name, shardVerdict(name, run.Groups[name]))
 			return withExit(exitReject, fmt.Errorf("%s: %w", name, err))
 		}
 		if !pass {

@@ -270,8 +270,8 @@ func TestVerifyAuditsFlaggedSeeds(t *testing.T) {
 	}
 }
 
-// corruptRecord copies a shard file, bumping the first record's round count.
-func corruptRecord(t *testing.T, src, dst string) {
+// rewriteFirst copies a shard file, applying edit to its first record.
+func rewriteFirst(t *testing.T, src, dst string, edit func(*sink.Record)) {
 	t.Helper()
 	f, err := os.Open(src)
 	if err != nil {
@@ -282,7 +282,7 @@ func corruptRecord(t *testing.T, src, dst string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs[0].Rounds += 2
+	edit(&recs[0])
 	out, err := os.Create(dst)
 	if err != nil {
 		t.Fatal(err)
@@ -297,6 +297,24 @@ func corruptRecord(t *testing.T, src, dst string) {
 		t.Fatal(err)
 	}
 	out.Close()
+}
+
+// corruptRecord copies a shard file, bumping the first record's round count.
+func corruptRecord(t *testing.T, src, dst string) {
+	t.Helper()
+	rewriteFirst(t, src, dst, func(rec *sink.Record) { rec.Rounds += 2 })
+}
+
+// quarantineFirst copies a shard file, rewriting its first record as the
+// writer records a quarantined trial or item: the error set, the digest
+// zeroed, the identity (fingerprint, seed, params, item) kept.
+func quarantineFirst(t *testing.T, src, dst string) {
+	t.Helper()
+	rewriteFirst(t, src, dst, func(rec *sink.Record) {
+		*rec = sink.Record{Schema: rec.Schema, Exp: rec.Exp, Fingerprint: rec.Fingerprint, Index: rec.Index,
+			Name: rec.Name, Seed: rec.Seed, Item: rec.Item, ItemParams: rec.ItemParams, Params: rec.Params,
+			Err: "panic: injected"}
+	})
 }
 
 // TestVerifyTrialsThroughPublicAPI: configuration-sweep records verify
@@ -323,6 +341,27 @@ func TestVerifyTrialsThroughPublicAPI(t *testing.T) {
 		"-domain", "16", "-loss", "prob", "-p", "0.4", "-cst", "9", "-seed", "12"}, shard)
 	if err := runCLI(wrong, &mism); err == nil {
 		t.Fatal("mismatched configuration accepted for trials verification")
+	}
+}
+
+// TestVerifyTrialsSkipsQuarantined: a quarantined trial of a -trials shard
+// carries no digest, so verify neither flags nor audits it.
+func TestVerifyTrialsSkipsQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	recorded := filepath.Join(dir, "trials.jsonl")
+	cfgFlags := []string{"-alg", "bitbybit", "-values", "3,7,7,1", "-domain", "16",
+		"-loss", "prob", "-p", "0.4", "-cst", "9", "-seed", "11"}
+	if err := runCLI(append([]string{"run", "-trials", "6", "-o", recorded}, cfgFlags...), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	shard := filepath.Join(dir, "quarantined.jsonl")
+	quarantineFirst(t, recorded, shard)
+	var out strings.Builder
+	if err := runCLI(append(append([]string{"verify"}, cfgFlags...), shard), &out); err != nil {
+		t.Fatalf("verify of a shard with a quarantined trial failed: %v\n%s", err, out.String())
+	}
+	if strings.Contains(out.String(), "  trial 0 ") {
+		t.Fatalf("verify printed a line for the quarantined trial 0:\n%s", out.String())
 	}
 }
 
@@ -364,30 +403,52 @@ func TestMergeShardVerdicts(t *testing.T) {
 // provenance violation the per-shard verdict must localize).
 func corruptSeed(t *testing.T, src, dst string) {
 	t.Helper()
-	f, err := os.Open(src)
-	if err != nil {
-		t.Fatal(err)
+	rewriteFirst(t, src, dst, func(rec *sink.Record) { rec.Seed++ })
+}
+
+// TestMergeVerdictsRunMergesChecks: the per-shard verdicts of a rejected set
+// run the checks merge runs, so they name the shard whose record merge
+// refused — a quarantined work item, whose outcome is its table's only
+// input, and a reseeded sweep trial — and pass the honest one.
+func TestMergeVerdictsRunMergesChecks(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		run     []string
+		bad     int // the shard whose first record is rewritten
+		corrupt func(t *testing.T, src, dst string)
+	}{
+		{"quarantined-item", []string{"-exp", "T9"}, 0, quarantineFirst},
+		{"reseeded-trial", []string{"-trials", "10", "-loss", "prob", "-p", "0.4", "-seed", "1"}, 1, corruptSeed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			paths := make([]string, 2)
+			for i := range paths {
+				paths[i] = filepath.Join(dir, fmt.Sprintf("s%d.jsonl", i))
+				args := append(append([]string{"run"}, tc.run...), "-shard", fmt.Sprintf("%d/2", i), "-o", paths[i])
+				if err := runCLI(args, io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bad := filepath.Join(dir, "bad.jsonl")
+			tc.corrupt(t, paths[tc.bad], bad)
+			paths[tc.bad] = bad
+			var out strings.Builder
+			err := runCLI(append([]string{"merge"}, paths...), &out)
+			if code := exitCodeOf(err); err == nil || code != exitReject {
+				t.Fatalf("merge = %v (exit %d), want a rejection (exit %d):\n%s", err, code, exitReject, out.String())
+			}
+			for i, path := range paths {
+				want := "shard " + path + ": ok"
+				if i == tc.bad {
+					want = "shard " + path + ": REJECTED"
+				}
+				if !strings.Contains(out.String(), want) {
+					t.Fatalf("verdicts lack %q:\n%s", want, out.String())
+				}
+			}
+		})
 	}
-	recs, err := sink.ReadRecords(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs[0].Seed++
-	out, err := os.Create(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := sink.NewJSONL(out)
-	for _, rec := range recs {
-		if err := j.WriteRecord(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	out.Close()
 }
 
 // TestMergeRejectsBadShardSets covers the merge guards: incomplete covers,

@@ -160,8 +160,8 @@
 // to the single-machine sweep. cmd/sweeprun drives both directions — "run"
 // executes a shard of an experiment grid or configuration sweep, "merge"
 // folds shard files back into exactly the tables cmd/benchtab prints and
-// the statistics consensus-sim -trials prints (golden-tested, with
-// fingerprint verification rejecting shards from mismatched grids or
+// the statistics consensus-sim -trials prints (golden-tested, with the
+// records' plan rejecting shards from mismatched grids, configurations or
 // versions). consensus-sim -trials additionally reports per-trial seed
 // provenance, so one anomalous trial out of a million can be re-run
 // standalone by passing its derived seed to a single Run.
@@ -179,10 +179,13 @@
 //     serves EVERY experiment ("sweeprun run -exp M1 -shard 0/4"; k-shard
 //     merges are golden-tested byte-identical);
 //   - render-without-rerun: "sweeprun replay" (and merge) reproduce every
-//     experiment table from merged JSONL alone — fingerprint-verified,
-//     byte-identical, and without invoking the engine; re-rendering a
-//     recorded run is an order of magnitude cheaper than re-simulating it
-//     (BenchmarkReplayRender);
+//     experiment table from merged JSONL alone — byte-identical and
+//     without invoking the engine; re-rendering a recorded run is an order
+//     of magnitude cheaper than re-simulating it (BenchmarkReplayRender).
+//     Every record first passes its group's replay.Plan — the one check of
+//     experiment, index, seed, seed schedule, params, work item and
+//     fingerprint that resume, merge, replay, verify and merge's per-shard
+//     verdicts all run;
 //   - forensic re-execution: "sweeprun verify" flags recorded trials worth
 //     auditing (undecided, agreement/validity violations, top-k slowest, or
 //     a full digest recheck), re-runs each flagged seed at full trace
@@ -222,16 +225,18 @@
 //     command (a second signal kills immediately);
 //   - resumable shards: sink.ReadRecordsPartial salvages the valid
 //     record prefix of a torn shard file (a crash mid-write leaves at
-//     most one broken final line). "sweeprun run -resume" verifies the
-//     salvaged prefix against the invocation's derivation — experiment
-//     membership, global indices, seed schedule, fingerprints — then
-//     truncates the tail and appends only the trials not yet durable.
-//     Because delivery is strictly ordered and seeds depend only on
-//     global indices (Config.StreamTrialsFrom), the finished file is
+//     most one broken final line); sink.ReadRecords is its strict mode.
+//     "sweeprun run -resume" checks each salvaged record with the
+//     segment's replay.Plan at its shard position — experiment, global
+//     index, seed, seed schedule, params, fingerprint — then truncates
+//     the tail and appends only the trials not yet durable. Because
+//     delivery is strictly ordered and seeds depend only on global
+//     indices (Config.StreamTrialsFrom), the finished file is
 //     byte-identical to an uninterrupted run's; a mismatched resume is
-//     rejected with the file untouched. Transient sink write errors
-//     retry under bounded exponential backoff (sink.Retry) before
-//     aborting — and an abort still leaves a valid resumable prefix;
+//     rejected with the file untouched. A failed sink write aborts the
+//     sweep with a valid resumable prefix on disk: sweeprun exits 3 so
+//     the run can be resumed with -resume, and the job supervisor
+//     retries the job, salvaging that prefix;
 //   - fault injection: internal/chaos wraps any sink or executor with
 //     seeded, deterministic faults — panic at trial i, error every k-th
 //     write, torn write at a byte offset, stall past a deadline — so the
@@ -253,7 +258,7 @@
 // engine.calibration.*), the sweep runner (sim.trials, sim.trial.wall_ns
 // and sim.trial.rounds_to_decide histograms, sim.quarantine.
 // panic/deadline/other, sim.reorder.highwater), and the record stream
-// (sink.records, sink.bytes, sink.flush_ns, sink.retry.attempts,
+// (sink.records, sink.bytes, sink.flush_ns,
 // sink.resume.salvaged_records/torn_tails/discarded_bytes).
 //
 // cmd/sweeprun exposes three consumers of the same registry:
@@ -282,7 +287,7 @@
 // segment → trial-batch, emitted at per-trial granularity and coarser —
 // never per-round) and point events (job.admit/dedupe/evict/retry/
 // checkpoint/cancel/quarantine, drain, salvage, torn_tail, quarantine
-// with cause=panic|deadline|other, sink.flush, sink.retry), each carrying
+// with cause=panic|deadline|other, sink.flush), each carrying
 // a monotonic sequence number and an injectable-clock timestamp. The
 // journal is a bounded lock-free ring with fan-out subscriptions — a
 // blocking lossless mode feeds the durable per-attempt export

@@ -29,9 +29,6 @@ type Sink struct {
 	FailP float64
 	// Seed seeds the FailP draw.
 	Seed int64
-	// Retryable marks injected errors via sink.MarkRetryable, so
-	// sink.Retry classifies them transient.
-	Retryable bool
 
 	// StallAtCall, when positive, sleeps StallFor before that Consume —
 	// a sink stuck past its caller's patience.
@@ -49,24 +46,17 @@ func (s *Sink) Consume(r sim.Result) error {
 		time.Sleep(s.StallFor)
 	}
 	if s.FailEvery > 0 && s.calls%s.FailEvery == 0 {
-		return s.fail(fmt.Errorf("chaos: injected failure on consume %d", s.calls))
+		return fmt.Errorf("chaos: injected failure on consume %d", s.calls)
 	}
 	if s.FailP > 0 {
 		if s.rng == nil {
 			s.rng = seedstream.NewV1(s.Seed)
 		}
 		if s.rng.Float64() < s.FailP {
-			return s.fail(fmt.Errorf("chaos: seeded failure on consume %d", s.calls))
+			return fmt.Errorf("chaos: seeded failure on consume %d", s.calls)
 		}
 	}
 	return s.Base.Consume(r)
-}
-
-func (s *Sink) fail(err error) error {
-	if s.Retryable {
-		return sink.MarkRetryable(err)
-	}
-	return err
 }
 
 // Flush implements sink.Flusher by flushing the wrapped sink.
@@ -147,16 +137,11 @@ func PanicItem(run Exec, index int) Exec {
 	}
 }
 
-// FailItem fails item `index` with an injected error, optionally marked
-// retryable.
-func FailItem(run Exec, index int, retryable bool) Exec {
+// FailItem fails item `index` with an injected error.
+func FailItem(run Exec, index int) Exec {
 	return func(item sink.WorkItem) (string, error) {
 		if item.Index == index {
-			err := fmt.Errorf("chaos: injected failure on item %d", index)
-			if retryable {
-				err = sink.MarkRetryable(err)
-			}
-			return "", err
+			return "", fmt.Errorf("chaos: injected failure on item %d", index)
 		}
 		return run(item)
 	}

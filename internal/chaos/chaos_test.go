@@ -30,35 +30,6 @@ func grid(n int) []sim.Scenario {
 	return scs
 }
 
-// TestRetryAbsorbsInjectedSinkFailures is the retry path end to end: a sink
-// failing every 3rd write (marked retryable) behind sink.Retry yields the
-// exact record stream a healthy sink produces.
-func TestRetryAbsorbsInjectedSinkFailures(t *testing.T) {
-	scs := grid(10)
-
-	var healthy bytes.Buffer
-	j := sink.NewJSONL(&healthy)
-	if err := (sim.Runner{Workers: 2}).SweepTo(scs, j); err != nil {
-		t.Fatal(err)
-	}
-	j.Flush()
-
-	var faulty bytes.Buffer
-	jf := sink.NewJSONL(&faulty)
-	retried := &sink.Retry{
-		Base:  &Sink{Base: jf, FailEvery: 3, Retryable: true},
-		Sleep: func(time.Duration) {},
-	}
-	if err := (sim.Runner{Workers: 2}).SweepTo(scs, retried); err != nil {
-		t.Fatal(err)
-	}
-	jf.Flush()
-
-	if !bytes.Equal(healthy.Bytes(), faulty.Bytes()) {
-		t.Fatal("retried stream diverged from the healthy stream")
-	}
-}
-
 // TestUnretriedSinkFailureAbortsWithValidPrefix: without retry, the injected
 // failure aborts the sweep through the SinkError path and the flushed bytes
 // are a salvageable contiguous prefix.
@@ -162,11 +133,12 @@ func TestExecutorWrappers(t *testing.T) {
 		t.Fatalf("PanicItem panic not surfaced: %v", err)
 	}
 
-	if _, err := FailItem(base, 5, true)(item(5)); !sink.IsRetryable(err) {
-		t.Fatalf("retryable FailItem error not marked: %v", err)
+	if _, err := FailItem(base, 5)(item(5)); err == nil ||
+		!strings.Contains(err.Error(), "chaos: injected failure on item 5") {
+		t.Fatalf("FailItem error not surfaced: %v", err)
 	}
-	if _, err := FailItem(base, 5, false)(item(5)); err == nil || sink.IsRetryable(err) {
-		t.Fatalf("fatal FailItem error misclassified: %v", err)
+	if out, err := FailItem(base, 5)(item(4)); err != nil || out != "ok=p" {
+		t.Fatalf("FailItem touched a healthy item: %q, %v", out, err)
 	}
 
 	start := time.Now()

@@ -1,6 +1,6 @@
 // Package chaos is the deterministic fault-injection harness behind the
 // sweep layer's crash-safety claims. Every recovery path the runner, sinks,
-// and sweeprun advertise — panic quarantine, retryable sink writes, torn
+// and sweeprun advertise — panic quarantine, aborted sink writes, torn
 // shard files, runaway-trial deadlines — is exercised by wrapping a healthy
 // component with one of the injectors here and asserting the recovery in a
 // plain unit test (and in the CI chaos smoke), instead of being claimed
@@ -14,9 +14,8 @@
 // test that passes once passes always, and the byte-identity contracts can
 // be asserted on faulty runs exactly like healthy ones:
 //
-//   - Sink wraps any sim.ResultSink with counted Consume failures
-//     (optionally marked retryable for sink.Retry), seeded probabilistic
-//     failures, and counted stalls.
+//   - Sink wraps any sim.ResultSink with counted Consume failures, seeded
+//     probabilistic failures, and counted stalls.
 //   - TornWriter truncates an io.Writer at a byte offset, reproducing what
 //     a killed process leaves on disk for sink.ReadRecordsPartial to
 //     salvage.

@@ -53,29 +53,28 @@ func RenderGroup(out io.Writer, name string, recs []sink.Record, quiet bool) (pa
 }
 
 // TrialResultsOf reconstructs the public TrialResults of a merged
-// configuration-sweep group: a complete cover of one seed schedule and one
-// fingerprint.
+// configuration-sweep group: every record passes the sweep's plan
+// (replay.PlanOf) and the records cover trials 0..n-1. A quarantined trial
+// keeps its error, with a zero digest, as the live stream delivers it.
 func TrialResultsOf(recs []sink.Record) ([]adhocconsensus.TrialResult, error) {
+	plan, err := replay.PlanOf("trials", recs)
+	if err != nil {
+		return nil, err
+	}
+	if err := plan.CheckGroup(recs); err != nil {
+		return nil, err
+	}
 	results, err := sink.Merge(recs)
 	if err != nil {
 		return nil, err
 	}
-	// One sweep runs under one seed schedule; shards recorded under v1 and
-	// v2 are different experiments and must not fold together.
-	if _, err := sink.UniformSeedSchedule(recs); err != nil {
-		return nil, err
-	}
-	// All trials of one configuration share its fingerprint; reject mixed
-	// files.
 	fp := recs[0].Fingerprint
-	for _, rec := range recs {
-		if rec.Fingerprint != fp {
-			return nil, fmt.Errorf("trial %d fingerprint %s differs from %s — shards from different configurations",
-				rec.Index, rec.Fingerprint, fp)
-		}
-	}
 	trs := make([]adhocconsensus.TrialResult, len(results))
 	for i, r := range results {
+		if r.Err != nil {
+			trs[i] = adhocconsensus.TrialResult{Trial: r.Index, Seed: r.Seed, Fingerprint: fp, Err: r.Err.Error()}
+			continue
+		}
 		trs[i] = adhocconsensus.TrialResult{
 			Trial:             r.Index,
 			Seed:              r.Seed,

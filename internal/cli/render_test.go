@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,14 +10,18 @@ import (
 	"adhocconsensus/internal/sink"
 )
 
+// sweepParams configures the sweep sweepRecords holds.
+var sweepParams = sink.Params{Algorithm: "propose", N: 4, Trace: "decisions", SweepSeed: 7}
+
 // sweepRecords is a three-trial configuration sweep as a shard file holds
-// it; trial 1 did not decide.
+// it, with the seeds and fingerprint the writer records; trial 1 did not
+// decide.
 func sweepRecords() []sink.Record {
-	p := sink.Params{Algorithm: "propose", N: 4, Trace: "decisions", SweepSeed: 7}
+	p := sweepParams
 	recs := make([]sink.Record, 3)
 	for i := range recs {
 		recs[i] = sink.Record{
-			Schema: sink.Schema, Exp: "trials", Fingerprint: "f00d", Index: i, Seed: int64(100 + i),
+			Schema: sink.Schema, Exp: "trials", Fingerprint: p.Fingerprint(), Index: i, Seed: sim.TrialSeed(7, 0, i),
 			Rounds: 3 + i, AllDecided: true, Decisions: 4, DecidedValues: []uint64{7}, LastDecisionRound: 3 + i,
 			AgreementOK: true, ValidityOK: true, TerminationOK: true, Params: p,
 		}
@@ -38,7 +43,7 @@ func TestRenderGroupRejectsMixedSweeps(t *testing.T) {
 		recs []sink.Record
 		want string
 	}{
-		{"fingerprint", mixedFP, "trial 2 fingerprint beef differs from f00d — shards from different configurations"},
+		{"fingerprint", mixedFP, "trial 2 fingerprint beef does not match this build's sweep (" + sweepParams.Fingerprint() + ")"},
 		{"schedule", mixedSched, "sink: trial 1 was recorded under seed schedule v2, expected v1 — v1 and v2 recordings cannot mix"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,7 +88,7 @@ func TestRenderGroupTrials(t *testing.T) {
 		!strings.HasSuffix(full.String(), provenance.String()) {
 		t.Fatalf("trials output does not open with the statistics and end with the provenance block:\n%s", full.String())
 	}
-	for _, want := range []string{"seeds     : ", "  undecided : trial 1 (4 rounds) seed 101\n"} {
+	for _, want := range []string{"seeds     : ", fmt.Sprintf("  undecided : trial 1 (4 rounds) seed %d\n", sim.TrialSeed(7, 0, 1))} {
 		if !strings.Contains(provenance.String(), want) {
 			t.Fatalf("provenance block lacks %q:\n%s", want, provenance.String())
 		}

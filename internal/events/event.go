@@ -31,7 +31,6 @@ const (
 	TypeTornTail      = "torn_tail"      // torn trailing bytes discarded on resume
 	TypeQuarantine    = "quarantine"     // one trial quarantined (Cause says why)
 	TypeFlush         = "sink.flush"     // buffered sink flushed to its writer
-	TypeSinkRetry     = "sink.retry"     // sink write retried under backoff
 )
 
 // Quarantine causes, mirroring the telemetry counters.

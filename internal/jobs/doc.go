@@ -6,9 +6,9 @@
 // # The shared execution path
 //
 // A Segment is one experiment's (or configuration sweep's) planned record
-// sequence for a shard, carrying enough derivation to verify a salvaged
-// prefix record-by-record (Verify) and to stream the remainder after a skip
-// (Stream). GridSegment, WorkSegment, and TrialsSegment build them, and
+// sequence for a shard, carrying its group's replay.Plan to verify a
+// salvaged prefix record-by-record (Verify: the plan's check at a shard
+// position) and the means to stream the remainder after a skip (Stream). GridSegment, WorkSegment, and TrialsSegment build them, and
 // every kind streams through sim.Runner's one ordered-delivery loop;
 // ExperimentSegments is the one resolver of experiment names, behind both a
 // serializable Spec (BuildSegments) and the CLI's -exp flag. Salvage

@@ -8,6 +8,7 @@ import (
 	"adhocconsensus"
 	"adhocconsensus/internal/cli"
 	"adhocconsensus/internal/experiments"
+	"adhocconsensus/internal/replay"
 	"adhocconsensus/internal/sim"
 	"adhocconsensus/internal/sink"
 )
@@ -31,15 +32,30 @@ type Segment struct {
 	// Schedule is the segment's seed-schedule version, recorded in the run
 	// report (0 for work-item pipelines, which carry explicit seeds).
 	Schedule int
-	// Verify checks that rec is exactly the segment's pos-th planned record
-	// (identity only — outcomes are whatever the recorded run produced).
-	Verify func(pos int, rec sink.Record) error
 	// Stream executes the segment's trials from skip on, writing one record
 	// per trial to j. The caller (jobs.Stream) owns j: it labels it with the
 	// segment's Name, flushes it afterwards — even when canceled, so an
 	// interrupted file still ends on a record boundary — and reads the
 	// segment's accounting from its Tally.
 	Stream func(ctx context.Context, skip int, j *sink.JSONL) error
+
+	// plan decides the segment's records; index maps a shard position to
+	// the global index of the record planned there.
+	plan  *replay.Plan
+	index func(pos int) int
+}
+
+// Verify checks that rec is exactly the segment's pos-th planned record:
+// the plan's check at a shard position (identity only — outcomes are
+// whatever the recorded run produced).
+func (s Segment) Verify(pos int, rec sink.Record) error {
+	if err := s.plan.Check(rec); err != nil {
+		return err
+	}
+	if want := s.index(pos); rec.Index != want {
+		return fmt.Errorf("global index %d, expected %d", rec.Index, want)
+	}
+	return nil
 }
 
 // GridSegment plans one scenario-grid experiment's shard.
@@ -66,32 +82,13 @@ func GridSegment(e experiments.GridExperiment, shard, shards, workers int, timeo
 		Name:     e.Name,
 		Length:   len(shardTrials),
 		Schedule: schedule,
-		Verify: func(pos int, rec sink.Record) error {
-			want := shardTrials[pos]
-			switch {
-			case rec.Exp != e.Name:
-				return fmt.Errorf("record belongs to %q, expected %s", rec.Exp, e.Name)
-			case rec.Index != want.Index:
-				return fmt.Errorf("trial %d, expected global index %d", rec.Index, want.Index)
-			case rec.Seed != want.Scenario.Seed:
-				return fmt.Errorf("trial %d seed %d does not match this build's grid (%d)", rec.Index, rec.Seed, want.Scenario.Seed)
-			}
-			if got, exp := rec.Params.SeedScheduleVersion(), params[want.Index].SeedScheduleVersion(); got != exp {
-				return &sink.ScheduleMismatchError{Index: rec.Index, Got: got, Want: exp}
-			}
-			if fp := params[want.Index].Fingerprint(); rec.Fingerprint != fp {
-				return fmt.Errorf("trial %d fingerprint %s does not match this build's grid (%s)", rec.Index, rec.Fingerprint, fp)
-			}
-			return nil
-		},
 		Stream: func(ctx context.Context, skip int, j *sink.JSONL) error {
 			j.Params = func(i int) sink.Params { return params[i] }
-			// Retry absorbs transiently failing writes (sink.MarkRetryable)
-			// under bounded exponential backoff before aborting the sweep;
-			// Ctx lets a drain abort a retry loop mid-backoff.
 			return (sim.Runner{Workers: workers, TrialTimeout: timeout}).
-				SweepTrialsToCtx(ctx, shardTrials[skip:], &sink.Retry{Base: j, Ctx: ctx})
+				SweepTrialsToCtx(ctx, shardTrials[skip:], j)
 		},
+		plan:  replay.GridPlan(e.Name, scenarios),
+		index: func(pos int) int { return shardTrials[pos].Index },
 	}, nil
 }
 
@@ -116,20 +113,6 @@ func WorkSegment(e experiments.WorkExperiment, shard, shards, workers int, timeo
 	return Segment{
 		Name:   e.Name,
 		Length: len(shardItems),
-		Verify: func(pos int, rec sink.Record) error {
-			want := shardItems[pos]
-			switch {
-			case rec.Exp != e.Name:
-				return fmt.Errorf("record belongs to %q, expected %s", rec.Exp, e.Name)
-			case rec.Index != want.Index:
-				return fmt.Errorf("item %d, expected global index %d", rec.Index, want.Index)
-			case rec.Item != want.Kind || rec.ItemParams != want.Params ||
-				rec.Fingerprint != want.Fingerprint() || rec.Seed != want.Seed:
-				return fmt.Errorf("item %d does not match this build's pipeline (recorded %s(%s) fp=%s seed=%d)",
-					rec.Index, rec.Item, rec.ItemParams, rec.Fingerprint, rec.Seed)
-			}
-			return nil
-		},
 		Stream: func(ctx context.Context, skip int, j *sink.JSONL) error {
 			items := shardItems[skip:]
 			outs := make([]string, len(items))
@@ -153,6 +136,8 @@ func WorkSegment(e experiments.WorkExperiment, shard, shards, workers int, timeo
 				return sim.Result{Index: item.Index, Name: item.Kind, Seed: item.Seed, Err: err}
 			}, write)
 		},
+		plan:  replay.WorkPlan(e.Name, items),
+		index: func(pos int) int { return shardItems[pos].Index },
 	}, nil
 }
 
@@ -174,47 +159,17 @@ func TrialsSegment(cf *cli.ConfigFlags, trials, shard, shards, workers int, time
 	if trials > shard {
 		length = (trials - shard + shards - 1) / shards
 	}
-	// The sweep fingerprint is derived inside the library per trial; resume
-	// captures the salvaged records' fingerprint and the streaming sink
-	// checks the first fresh result against it before anything is appended,
-	// so a resume under different configuration flags aborts with the file
-	// untouched (the seed schedule and recorded params are checked up front).
-	var salvagedFP string
+	plan := replay.SweepPlan(params)
 	return Segment{
 		Name:     "trials",
 		Length:   length,
 		Schedule: params.SeedScheduleVersion(),
-		Verify: func(pos int, rec sink.Record) error {
-			want := shard + pos*shards
-			switch {
-			case rec.Exp != "trials":
-				return fmt.Errorf("record belongs to %q, expected trials", rec.Exp)
-			case rec.Index != want:
-				return fmt.Errorf("trial %d, expected global index %d", rec.Index, want)
-			case rec.Seed != sim.TrialSeed(cfg.Seed, 0, want):
-				return fmt.Errorf("trial %d seed %d does not match this configuration's seed schedule (%d)",
-					want, rec.Seed, sim.TrialSeed(cfg.Seed, 0, want))
-			case rec.Params.SeedScheduleVersion() != params.SeedScheduleVersion():
-				return &sink.ScheduleMismatchError{
-					Index: want,
-					Got:   rec.Params.SeedScheduleVersion(),
-					Want:  params.SeedScheduleVersion(),
-				}
-			case rec.Params != params:
-				return fmt.Errorf("trial %d was recorded under different configuration parameters", want)
-			}
-			switch {
-			case salvagedFP == "":
-				salvagedFP = rec.Fingerprint
-			case rec.Fingerprint != salvagedFP:
-				return fmt.Errorf("trial %d fingerprint %s differs from the file's %s — mixed configurations", want, rec.Fingerprint, salvagedFP)
-			}
-			return nil
-		},
 		Stream: func(ctx context.Context, skip int, j *sink.JSONL) error {
-			s := &jsonlTrials{j: j, params: params, wantFP: salvagedFP}
+			s := &jsonlTrials{j: j, params: params, plan: plan}
 			return cfg.StreamTrialsFrom(ctx, trials, workers, shard, shards, skip, s)
 		},
+		plan:  plan,
+		index: func(pos int) int { return shard + pos*shards },
 	}, nil
 }
 
@@ -224,21 +179,18 @@ func TrialsSegment(cf *cli.ConfigFlags, trials, shard, shards, workers int, time
 type jsonlTrials struct {
 	j      *sink.JSONL
 	params sink.Params
-	// wantFP, when set, is the fingerprint of the salvaged prefix being
-	// resumed: every fresh result must match it, or the configurations
-	// differ and appending would corrupt the shard. The mismatch aborts
-	// through the sink-error path before any byte is written.
-	wantFP string
-	vals   []uint64
+	plan   *replay.Plan
+	// fp is a fingerprint the plan accepted. The library derives each
+	// trial's fingerprint itself, so a result carrying another goes through
+	// the plan's check, and a record the plan rejects aborts the stream
+	// through the sink-error path before it is written.
+	fp   string
+	vals []uint64
 }
 
 func (s *jsonlTrials) Consume(r adhocconsensus.TrialResult) error {
-	if s.wantFP != "" && r.Fingerprint != s.wantFP {
-		return cli.WithExit(cli.ExitReject, fmt.Errorf(
-			"resumed sweep fingerprint %s does not match the file's %s — configuration flags differ from the recorded run",
-			r.Fingerprint, s.wantFP))
-	}
 	rec := sink.Record{
+		Exp:               s.j.Exp,
 		Fingerprint:       r.Fingerprint,
 		Index:             r.Trial,
 		Seed:              r.Seed,
@@ -251,6 +203,12 @@ func (s *jsonlTrials) Consume(r adhocconsensus.TrialResult) error {
 		TerminationOK:     r.TerminationOK,
 		Err:               r.Err,
 		Params:            s.params,
+	}
+	if r.Fingerprint != s.fp {
+		if err := s.plan.Check(rec); err != nil {
+			return cli.WithExit(cli.ExitReject, err)
+		}
+		s.fp = r.Fingerprint
 	}
 	s.vals = s.vals[:0]
 	for _, v := range r.DecidedValues {

@@ -20,9 +20,27 @@
 // records into exactly the table the in-process run renders — byte for
 // byte — without invoking the engine: grid records merge into sim.Results
 // and drive the GridExperiment renderer, work-item records decode their
-// outcome digests and drive the WorkExperiment renderer. Completeness,
-// duplicate, and fingerprint verification run first, so a stale or foreign
-// shard can never fold into a plausible-looking table.
+// outcome digests and drive the WorkExperiment renderer. The group's plan
+// checks every record first and the records must cover it, so a stale or
+// foreign shard can never fold into a plausible-looking table.
+//
+// # The plan
+//
+// A Plan is the shard-record contract of one record group, and its Check
+// alone decides whether a record is the one this build writes at its
+// index: experiment label, index in range, seed, seed schedule (a typed
+// *sink.ScheduleMismatchError), params, a work item's kind and params, and
+// fingerprint. GridPlan derives a scenario grid's records, WorkPlan a
+// work pipeline's, and SweepPlan a configuration sweep's from its recorded
+// sink.Params (fingerprint Params.Fingerprint(), seed of trial i
+// sim.TrialSeed(Params.SweepSeed, 0, i)); PlanOf picks one by group name,
+// taking a sweep's params from the majority of its records. CheckGroup is
+// what merge runs over a group: Check on every record, one record per
+// index, and no quarantined work item, since a pipeline's outcome digests
+// are its table's only input. Every consumer goes through it: resume
+// checks a salvaged prefix at its shard positions (jobs.Segment.Verify),
+// merge, replay and verify check the merged group, and sweeprun merge's
+// per-shard verdicts run CheckGroup on each file of a rejected set.
 //
 // # Verify (forensic re-execution)
 //

@@ -43,118 +43,48 @@ func LoadFiles(paths ...string) (*Run, error) {
 }
 
 // RenderExperiment reproduces one experiment's table from its merged
-// records alone — no simulation. Grid experiments merge scenario digests
-// and drive the grid renderer; work experiments verify their item cover and
-// drive the work renderer over the recorded outcome digests. The rendered
-// table is byte-identical to the in-process run's.
+// records alone — no simulation. Every record must pass the experiment's
+// plan (CheckGroup) and the records must cover it; grid records then merge
+// into sim.Results and drive the grid renderer, work-item records drive the
+// work renderer with their outcome digests. The rendered table is
+// byte-identical to the in-process run's.
 func RenderExperiment(name string, recs []sink.Record) (*experiments.Table, error) {
 	if e, ok := experiments.GridExperimentByName(name); ok {
-		return renderGrid(e, recs)
+		_, results, render, err := mergeGrid(e, recs)
+		if err != nil {
+			return nil, err
+		}
+		return render(results)
 	}
 	if e, ok := experiments.WorkExperimentByName(name); ok {
-		return renderWork(e, recs)
+		items, _, render, err := e.Build()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := WorkPlan(name, items).merge(recs); err != nil {
+			return nil, err
+		}
+		outs := make([]string, len(items))
+		for _, rec := range recs {
+			outs[rec.Index] = rec.Out
+		}
+		return render(outs)
 	}
-	return nil, fmt.Errorf("replay: no experiment %q in this build (grid: T1..T5, T8, A1, A2; work: T6, T7, T9, A3, M1)", name)
+	return nil, noExperiment(name)
 }
 
-// renderGrid folds one grid experiment's shard records and renders its
-// table exactly as the in-process path does, after the full guard suite.
-func renderGrid(e experiments.GridExperiment, recs []sink.Record) (*experiments.Table, error) {
-	_, results, render, err := mergeGrid(e, recs)
-	if err != nil {
-		return nil, err
-	}
-	return render(results)
-}
-
-// mergeGrid runs the grid-record guard suite shared by rendering and
-// verification: build the grid, merge the records (completeness and
-// duplicates), verify fingerprints, and check every per-trial seed against
-// the grid's derivation — so shards from a different grid, version, or seed
-// schedule can neither fold into a chimera table nor be "audited" as if
-// they were this build's executions.
+// mergeGrid builds a grid experiment and merges its records through the
+// grid's plan — shared by rendering and verification, so records from a
+// different grid, version, or seed schedule can neither fold into a
+// chimera table nor be audited as this build's executions.
 func mergeGrid(e experiments.GridExperiment, recs []sink.Record) ([]sim.Scenario, []sim.Result, experiments.RenderFunc, error) {
 	scenarios, render, err := e.Build()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	results, err := sink.Merge(recs)
+	results, err := GridPlan(e.Name, scenarios).merge(recs)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	if len(results) != len(scenarios) {
-		return nil, nil, nil, fmt.Errorf("replay: %d trials merged, this build's grid has %d — incomplete shard set or version skew",
-			len(results), len(scenarios))
-	}
-	params := make([]sink.Params, len(scenarios))
-	for i, s := range scenarios {
-		params[i] = sink.ParamsOf(s)
-	}
-	if err := sink.VerifyFingerprints(recs, func(i int) sink.Params { return params[i] }); err != nil {
-		return nil, nil, nil, err
-	}
-	// Fingerprints exclude per-trial seeds; check those against the grid
-	// directly.
-	for i, res := range results {
-		if res.Seed != scenarios[i].Seed {
-			return nil, nil, nil, fmt.Errorf("replay: trial %d ran with seed %d, this build's grid derives %d — shard produced by a different grid or version",
-				i, res.Seed, scenarios[i].Seed)
-		}
 	}
 	return scenarios, results, render, nil
-}
-
-// renderWork folds one work experiment's shard records: the records must
-// form a complete, duplicate-free cover of this build's item list, with
-// matching kinds, parameters, fingerprints, and seeds; the recorded outcome
-// digests then drive the experiment's renderer.
-func renderWork(e experiments.WorkExperiment, recs []sink.Record) (*experiments.Table, error) {
-	items, _, render, err := e.Build()
-	if err != nil {
-		return nil, err
-	}
-	outs, err := MergeItemOutcomes(items, recs)
-	if err != nil {
-		return nil, err
-	}
-	return render(outs)
-}
-
-// MergeItemOutcomes verifies work-item records against this build's item
-// list and returns the outcome digests in item order: the work-experiment
-// analog of sink.Merge plus sink.VerifyFingerprints.
-func MergeItemOutcomes(items []sink.WorkItem, recs []sink.Record) ([]string, error) {
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("replay: no records to merge")
-	}
-	outs := make([]string, len(items))
-	seen := make([]bool, len(items))
-	for _, rec := range recs {
-		if rec.Err != "" {
-			return nil, fmt.Errorf("replay: item %d (%s) recorded an execution error: %s", rec.Index, rec.Item, rec.Err)
-		}
-		if rec.Index < 0 || rec.Index >= len(items) {
-			return nil, fmt.Errorf("replay: item %d outside this build's %d-item pipeline — shard produced by a different version", rec.Index, len(items))
-		}
-		if seen[rec.Index] {
-			return nil, fmt.Errorf("replay: duplicate record for item %d (overlapping shards?)", rec.Index)
-		}
-		item := items[rec.Index]
-		if rec.Item != item.Kind || rec.ItemParams != item.Params || rec.Fingerprint != item.Fingerprint() {
-			return nil, fmt.Errorf("replay: item %d recorded as %s(%s) fp=%s, this build derives %s(%s) fp=%s — shard produced by a different pipeline or version",
-				rec.Index, rec.Item, rec.ItemParams, rec.Fingerprint, item.Kind, item.Params, item.Fingerprint())
-		}
-		if rec.Seed != item.Seed {
-			return nil, fmt.Errorf("replay: item %d ran with seed %d, this build derives %d — shard produced by a different version",
-				rec.Index, rec.Seed, item.Seed)
-		}
-		seen[rec.Index] = true
-		outs[rec.Index] = rec.Out
-	}
-	for i, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("replay: item %d missing (have %d of %d records) — incomplete shard set", i, len(recs), len(items))
-		}
-	}
-	return outs, nil
 }

@@ -128,31 +128,26 @@ func TestRenderWorkWithoutRerun(t *testing.T) {
 }
 
 // TestMergeItemOutcomesGuards: the work-item merge must reject incomplete
-// covers, duplicates, foreign fingerprints, and reseeded items.
+// covers, duplicates, foreign item params, and reseeded items.
 func TestMergeItemOutcomesGuards(t *testing.T) {
 	recs, _ := workRecords(t, "T9")
-	e, _ := experiments.WorkExperimentByName("T9")
-	items, _, _, err := e.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergeItemOutcomes(items, recs); err != nil {
+	if _, err := RenderExperiment("T9", recs); err != nil {
 		t.Fatalf("complete honest set rejected: %v", err)
 	}
-	if _, err := MergeItemOutcomes(items, recs[:len(recs)-1]); err == nil {
+	if _, err := RenderExperiment("T9", recs[:len(recs)-1]); err == nil {
 		t.Fatal("incomplete item cover accepted")
 	}
-	if _, err := MergeItemOutcomes(items, append(append([]sink.Record(nil), recs...), recs[0])); err == nil {
+	if _, err := RenderExperiment("T9", append(append([]sink.Record(nil), recs...), recs[0])); err == nil {
 		t.Fatal("duplicate item accepted")
 	}
 	bad := append([]sink.Record(nil), recs...)
 	bad[1].ItemParams = "case=tampered"
-	if _, err := MergeItemOutcomes(items, bad); err == nil {
+	if _, err := RenderExperiment("T9", bad); err == nil {
 		t.Fatal("foreign item params accepted")
 	}
 	reseeded := append([]sink.Record(nil), recs...)
 	reseeded[2].Seed++
-	if _, err := MergeItemOutcomes(items, reseeded); err == nil {
+	if _, err := RenderExperiment("T9", reseeded); err == nil {
 		t.Fatal("reseeded item accepted")
 	}
 }

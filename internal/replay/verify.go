@@ -289,7 +289,7 @@ func VerifyExperiment(name string, recs []sink.Record, sel Selector, bundle bool
 		if _, isWork := experiments.WorkExperimentByName(name); isWork {
 			return nil, fmt.Errorf("replay: %s is a work-item experiment; its outcomes replay through 'replay' (render) and re-run through 'run', not per-seed verification", name)
 		}
-		return nil, fmt.Errorf("replay: no experiment %q in this build", name)
+		return nil, noExperiment(name)
 	}
 	scenarios, results, _, err := mergeGrid(e, recs)
 	if err != nil {

@@ -212,9 +212,8 @@ func TestSweepToCtxCancellation(t *testing.T) {
 }
 
 // canceledSink accepts k results, then refuses the next with an error whose
-// chain reaches context.Canceled — the shape a context-aware retry wrapper
-// (sink.Retry with Ctx set) produces when a shutdown drain aborts its
-// backoff sleep.
+// chain reaches context.Canceled — the shape a context-aware sink produces
+// when a shutdown drain aborts its write.
 type canceledSink struct {
 	k   int
 	got []Result

@@ -46,12 +46,14 @@
 // A shard is the subset of a fully expanded sweep whose global trial index
 // is congruent to i mod k. Expansion (and splitmix64 per-trial seeding)
 // happens before partitioning, so every trial executes identically whatever
-// the shard layout, and records carry global indices. Merge re-sorts
-// records, verifies a complete non-overlapping 0..n-1 cover, and
-// reconstructs the exact []sim.Result slice of the unsharded run;
-// VerifyFingerprints additionally checks each record against the grid the
-// merging binary would build, catching shards produced by a different grid
-// or code version.
+// the shard layout, and records carry global indices. ReadRecords reads a
+// shard file back; it is the strict mode of ReadRecordsPartial, the one
+// line reader, failing with the positioned defect where a salvage read
+// would cut a torn tail off. Merge re-sorts records, verifies a complete
+// non-overlapping 0..n-1 cover, and reconstructs the exact []sim.Result
+// slice of the unsharded run. Whether each record is the one this build
+// writes at its index — its experiment, seed, seed schedule, params and
+// fingerprint — is decided by its group's plan in internal/replay.
 //
 // A two-machine sweep of the T3 table:
 //

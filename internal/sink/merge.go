@@ -1,8 +1,6 @@
 package sink
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -10,52 +8,19 @@ import (
 	"adhocconsensus/internal/sim"
 )
 
-// ReadRecords decodes a JSONL stream (one shard file) into records. Every
-// malformed line fails loudly with its line number: unparseable JSON, a
-// schema version this build does not understand, and — because the writer
-// terminates every record with a newline — a final line missing its
-// terminator, which is how a truncated shard file (a worker killed
-// mid-flush, a partial copy) announces itself even when the surviving bytes
-// happen to parse.
+// ReadRecords decodes a JSONL stream (one shard file) into records: the
+// strict mode of ReadRecordsPartial. Every defect that ends a salvage read —
+// unparseable JSON, a schema version this build does not understand, and,
+// because the writer terminates every record with a newline, a final line
+// missing its terminator (how a truncated shard file announces itself even
+// when the surviving bytes happen to parse) — fails loudly with its line
+// number instead of being cut off.
 func ReadRecords(r io.Reader) ([]Record, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var out []Record
-	line := 0
-	for {
-		raw, err := br.ReadBytes('\n')
-		if len(raw) > 0 {
-			line++
-		}
-		truncated := err == io.EOF && len(raw) > 0
-		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("sink: line %d: %w", line, err)
-		}
-		if trimmed := trimLine(raw); len(trimmed) > 0 {
-			if truncated {
-				return nil, fmt.Errorf("sink: line %d: truncated final record (%d bytes, no newline terminator) — incomplete shard file", line, len(raw))
-			}
-			var rec Record
-			if uerr := json.Unmarshal(trimmed, &rec); uerr != nil {
-				return nil, fmt.Errorf("sink: line %d: %w", line, uerr)
-			}
-			if rec.Schema != Schema {
-				return nil, fmt.Errorf("sink: line %d: schema %d, this build reads schema %d", line, rec.Schema, Schema)
-			}
-			out = append(out, rec)
-		}
-		if err == io.EOF {
-			return out, nil
-		}
+	recs, _, torn := ReadRecordsPartial(r)
+	if torn != nil {
+		return nil, fmt.Errorf("sink: line %d: %w", torn.Line, torn.Err)
 	}
-}
-
-// trimLine strips the newline terminator (and a carriage return, for files
-// that crossed a Windows filesystem) from one raw line.
-func trimLine(raw []byte) []byte {
-	for len(raw) > 0 && (raw[len(raw)-1] == '\n' || raw[len(raw)-1] == '\r') {
-		raw = raw[:len(raw)-1]
-	}
-	return raw
+	return recs, nil
 }
 
 // GroupByExp splits records by experiment label, preserving each group's
@@ -116,56 +81,4 @@ type ScheduleMismatchError struct {
 func (e *ScheduleMismatchError) Error() string {
 	return fmt.Sprintf("sink: trial %d was recorded under seed schedule v%d, expected v%d — v1 and v2 recordings cannot mix",
 		e.Index, e.Got, e.Want)
-}
-
-// UniformSeedSchedule verifies all records ran under one seed-schedule
-// version and returns it, anchored at the first record. A mixed set yields
-// a *ScheduleMismatchError naming the first offending trial.
-func UniformSeedSchedule(recs []Record) (int, error) {
-	if len(recs) == 0 {
-		return 1, nil
-	}
-	want := recs[0].Params.SeedScheduleVersion()
-	for _, rec := range recs[1:] {
-		if got := rec.Params.SeedScheduleVersion(); got != want {
-			return 0, &ScheduleMismatchError{Index: rec.Index, Got: got, Want: want}
-		}
-	}
-	return want, nil
-}
-
-// VerifySeedSchedules checks every record against an expected schedule
-// version, returning a *ScheduleMismatchError for the first record that
-// differs. This is the resume-side guard: the invocation's configuration
-// fixes the version, and a salvaged prefix recorded under another one must
-// not be extended.
-func VerifySeedSchedules(recs []Record, want int) error {
-	for _, rec := range recs {
-		if got := rec.Params.SeedScheduleVersion(); got != want {
-			return &ScheduleMismatchError{Index: rec.Index, Got: got, Want: want}
-		}
-	}
-	return nil
-}
-
-// VerifyFingerprints checks every record's fingerprint against the
-// parameters the merging side derives for the same trial index — the guard
-// that shard files were produced against the same grid and defaults as the
-// binary doing the merge. Call it after Merge's completeness check, with
-// the same Params source the producing sinks used.
-func VerifyFingerprints(recs []Record, params func(index int) Params) error {
-	fps := make(map[Params]string)
-	for _, rec := range recs {
-		p := params(rec.Index)
-		want, ok := fps[p]
-		if !ok {
-			want = p.Fingerprint()
-			fps[p] = want
-		}
-		if rec.Fingerprint != want {
-			return fmt.Errorf("sink: trial %d (%s) fingerprint %s does not match this build's grid (%s) — shard produced by a different grid or version",
-				rec.Index, rec.Name, rec.Fingerprint, want)
-		}
-	}
-	return nil
 }

@@ -79,3 +79,12 @@ func ReadRecordsPartial(r io.Reader) ([]Record, int64, *TornTail) {
 		valid += int64(len(raw))
 	}
 }
+
+// trimLine strips the newline terminator (and a carriage return, for files
+// that crossed a Windows filesystem) from one raw line.
+func trimLine(raw []byte) []byte {
+	for len(raw) > 0 && (raw[len(raw)-1] == '\n' || raw[len(raw)-1] == '\r') {
+		raw = raw[:len(raw)-1]
+	}
+	return raw
+}

@@ -1,7 +1,6 @@
 package sink
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -85,50 +84,5 @@ func TestParamsOfSeedSchedule(t *testing.T) {
 	}
 	if ParamsOf(base).SeedScheduleVersion() == ParamsOf(sim.Scenario{}).SeedScheduleVersion() {
 		t.Fatal("versions do not distinguish v1 from v2")
-	}
-}
-
-// TestUniformSeedSchedule covers the merge-side guard: uniform sets pass
-// and report their version, mixed sets fail with the typed, positioned
-// error.
-func TestUniformSeedSchedule(t *testing.T) {
-	mk := func(version int) Record {
-		p := goldenV1Params
-		if version > 1 {
-			p.SeedSchedule = version
-		}
-		return Record{Schema: Schema, Index: 0, Params: p}
-	}
-	at := func(rec Record, i int) Record { rec.Index = i; return rec }
-
-	if v, err := UniformSeedSchedule(nil); err != nil || v != 1 {
-		t.Fatalf("empty set: %d, %v", v, err)
-	}
-	if v, err := UniformSeedSchedule([]Record{mk(1), at(mk(1), 1)}); err != nil || v != 1 {
-		t.Fatalf("uniform v1: %d, %v", v, err)
-	}
-	if v, err := UniformSeedSchedule([]Record{mk(2), at(mk(2), 1)}); err != nil || v != 2 {
-		t.Fatalf("uniform v2: %d, %v", v, err)
-	}
-	_, err := UniformSeedSchedule([]Record{mk(1), at(mk(2), 7)})
-	var mismatch *ScheduleMismatchError
-	if !errors.As(err, &mismatch) {
-		t.Fatalf("mixed set error %v, want *ScheduleMismatchError", err)
-	}
-	if mismatch.Index != 7 || mismatch.Got != 2 || mismatch.Want != 1 {
-		t.Fatalf("mismatch = %+v, want index 7, got v2, want v1", mismatch)
-	}
-	for _, frag := range []string{"trial 7", "seed schedule v2", "expected v1"} {
-		if !strings.Contains(err.Error(), frag) {
-			t.Fatalf("message %q missing %q", err.Error(), frag)
-		}
-	}
-
-	if err := VerifySeedSchedules([]Record{mk(1), at(mk(1), 1)}, 1); err != nil {
-		t.Fatalf("uniform v1 vs want 1: %v", err)
-	}
-	err = VerifySeedSchedules([]Record{mk(1)}, 2)
-	if !errors.As(err, &mismatch) || mismatch.Got != 1 || mismatch.Want != 2 {
-		t.Fatalf("v1 records vs want 2: %v", err)
 	}
 }

@@ -30,7 +30,6 @@ var (
 	_ sim.ResultSink = (*Memory)(nil)
 	_ sim.ResultSink = (Fanout)(nil)
 	_ sim.ResultSink = (*JSONL)(nil)
-	_ sim.ResultSink = (*Retry)(nil)
 )
 
 // Memory collects results in order — the in-process aggregation behavior

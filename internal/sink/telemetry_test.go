@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"testing"
-	"time"
 
 	"adhocconsensus/internal/model"
 	"adhocconsensus/internal/sim"
@@ -87,40 +86,5 @@ func TestJSONLConsumeAllocsWithTelemetryLive(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("with telemetry live, JSONL.Consume allocates %.1f times per record, want 0", allocs)
-	}
-}
-
-// countingFlaky fails its first `failures` Consume calls with a retryable
-// error, then succeeds.
-type countingFlaky struct {
-	failures int
-	calls    int
-}
-
-func (c *countingFlaky) Consume(sim.Result) error {
-	c.calls++
-	if c.calls <= c.failures {
-		return MarkRetryable(errors.New("transient"))
-	}
-	return nil
-}
-
-// TestRetryAttemptsCounter: each backoff retry bumps sink.retry.attempts —
-// two failures cost exactly two retries.
-func TestRetryAttemptsCounter(t *testing.T) {
-	telemetry.Enable()
-	sm := telemetry.SinkIO()
-	attemptsB := sm.RetryAttempts.Load()
-
-	flaky := &countingFlaky{failures: 2}
-	r := &Retry{Base: flaky, Sleep: func(time.Duration) {}}
-	if err := r.Consume(sim.Result{}); err != nil {
-		t.Fatal(err)
-	}
-	if flaky.calls != 3 {
-		t.Fatalf("flaky sink saw %d calls, want 3", flaky.calls)
-	}
-	if got := sm.RetryAttempts.Load() - attemptsB; got != 2 {
-		t.Fatalf("sink.retry.attempts advanced %d, want 2", got)
 	}
 }

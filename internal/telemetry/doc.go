@@ -50,7 +50,6 @@
 //	sink.bytes                    counter  record bytes written
 //	sink.flushes                  counter  explicit flushes
 //	sink.flush_ns                 histogram  flush latency, ns
-//	sink.retry.attempts           counter  sink write retries under backoff
 //	sink.resume.salvaged_records  counter  records salvaged from partial shard files
 //	sink.resume.torn_tails        counter  torn tails discarded on salvage
 //	sink.resume.discarded_bytes   counter  bytes truncated from torn tails

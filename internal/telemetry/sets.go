@@ -60,8 +60,6 @@ type SinkMetrics struct {
 	// Flushes and FlushNs measure explicit flushes of buffered sinks.
 	Flushes *Counter
 	FlushNs *Histogram
-	// RetryAttempts counts sink writes retried under backoff.
-	RetryAttempts *Counter
 	// Resume salvage stats: records recovered from partial shard files,
 	// torn tails discarded, and bytes truncated with them.
 	SalvagedRecords *Counter
@@ -173,7 +171,6 @@ func Enable() *Registry {
 			Quarantined:     r.Counter("sink.records.quarantined"),
 			Flushes:         r.Counter("sink.flushes"),
 			FlushNs:         r.Histogram("sink.flush_ns"),
-			RetryAttempts:   r.Counter("sink.retry.attempts"),
 			SalvagedRecords: r.Counter("sink.resume.salvaged_records"),
 			TornTails:       r.Counter("sink.resume.torn_tails"),
 			DiscardedBytes:  r.Counter("sink.resume.discarded_bytes"),
