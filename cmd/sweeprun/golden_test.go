@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -30,19 +31,59 @@ func TestV1ShardGolden(t *testing.T) {
 			"381228f1093e09da5c82812a1d8c8f28815269748d2273e379487620715509de"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "shard.jsonl")
-			args := append([]string{"run", "-quiet", "-report", "none"}, strings.Fields(tc.args)...)
-			if err := runCLI(append(args, "-o", path), io.Discard); err != nil {
-				t.Fatal(err)
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(data)
-			if got := hex.EncodeToString(sum[:]); got != tc.want {
-				t.Fatalf("v1 shard bytes changed: sha256 %s, recorded shards hash to %s", got, tc.want)
-			}
+			checkShardHash(t, strings.Fields(tc.args), tc.want)
 		})
+	}
+}
+
+// TestDenseShardGolden pins shard bytes at the dense sizes: n=256 and n=64
+// over 16-bit values, where every receive set grows past the compact
+// multiset's 16 distinct messages in early rounds and capture-loss rows are
+// wide. The n=4 goldens above never reach either case.
+func TestDenseShardGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    int
+		args string
+		want string
+	}{
+		{"prob-256", 256, "-trials 8 -seed 11 -domain 65536 -loss prob -p 0.3 -cst 16",
+			"91db6a768a37d66f839cc9b1acfc7958c72fb6a74942c815fcd8ad244c6927e6"},
+		{"capture-64", 64, "-trials 60 -seed 12 -domain 65536 -loss capture -p 0.3 -cst 16",
+			"67ce4bb9688f20f437da8c6d8cd2301fd12daa1aa7b525ea7158d9981197797a"},
+		{"prob-256-v2", 256, "-trials 8 -seed 13 -domain 65536 -loss prob -p 0.3 -cst 16 -schedule 2",
+			"40f8a976b3b4defe3a9a607284301702ec4e4ef675177bada51dbc1ea652cbb2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkShardHash(t, append(strings.Fields(tc.args), "-values", denseValues(tc.n)), tc.want)
+		})
+	}
+}
+
+// denseValues lists n distinct 16-bit initial values, (i·7919+1) mod 65536.
+func denseValues(n int) string {
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = strconv.Itoa((i*7919 + 1) % 65536)
+	}
+	return strings.Join(vals, ",")
+}
+
+// checkShardHash runs `sweeprun run` with args and compares the sha256 of
+// the shard it writes against want.
+func checkShardHash(t *testing.T, args []string, want string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "shard.jsonl")
+	args = append([]string{"run", "-quiet", "-report", "none"}, args...)
+	if err := runCLI(append(args, "-o", path), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("shard bytes changed: sha256 %s, recorded shards hash to %s", got, want)
 	}
 }
