@@ -47,9 +47,14 @@
 //     halted/decided flags) by a sorted process table built once per
 //     run — no per-round maps;
 //   - compact multisets: receive sets use a slice-backed small
-//     representation (spilling to a map past 16 distinct messages) with
-//     in-place Reset/UnionInto, and are recycled through a sync.Pool
-//     across rounds and runs;
+//     representation, spilling to a map only in a round that holds more
+//     than 16 distinct messages: Reset returns a set to the compact form
+//     and keeps the map as a spare for the next spill. Sets reset in place
+//     and are recycled through a sync.Pool across rounds and runs;
+//   - loss rows: the built-in adversaries hand the engine each round's
+//     loss matrix (loss.ConcurrentPlanner.PlanRows), and the delivery loop
+//     reads each receiver's row by index, with no call per
+//     (receiver, sender) pair;
 //   - trace modes: Config.TraceDecisionsOnly (engine.TraceDecisionsOnly
 //     internally) skips recording per-round views entirely for callers
 //     that only read decisions — the default for the experiment tables —
@@ -67,9 +72,9 @@
 //     across a worker pool for large systems — intra-run parallelism
 //     complementing the sweep runner's cross-trial parallelism — with
 //     decisions and traces byte-identical at any worker count; under
-//     SeedScheduleV2 the same pool also fills the adversary's loss plan
-//     and generates the round's messages, making the whole round body
-//     parallel. DeliveryWorkersAuto sizes the pool from a one-time
+//     SeedScheduleV2 the same pool also fills the rows of the adversary's
+//     loss matrix and generates the round's messages, making the whole
+//     round body parallel. DeliveryWorkersAuto sizes the pool from a one-time
 //     startup calibration (engine.Calibrate measures this host's
 //     shard-barrier cost against its per-row fill cost and derives both
 //     the worker count and the auto-off system-size threshold); the

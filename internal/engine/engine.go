@@ -14,7 +14,12 @@
 // per-process state (crash schedule, contention advice, broadcasts, halted
 // and decided flags) lives in dense slices indexed by a sorted process
 // table built once per run, and receive multisets are drawn from a
-// sync.Pool and reset in place between rounds — in both trace modes. With
+// sync.Pool and reset in place between rounds — in both trace modes. The
+// delivery loop reads each receiver's loss row by index: a
+// loss.ConcurrentPlanner hands over the round's loss matrix (PlanRows), and
+// for any other adversary the loop copies Plan's DeliveryFunc answers into
+// one reusable row, receivers and senders ascending, so stateful
+// adversaries see the same call sequence either way. With
 // Config.Trace set to TraceDecisionsOnly nothing is recorded per round.
 // TraceFull (the default) records every view into a columnar
 // model.TraceArena — flat per-field columns plus a shared receive arena —
@@ -32,11 +37,11 @@
 // is independent, so decisions and recorded traces are byte-identical to
 // the sequential path at any worker count. The parallel path engages only
 // when every randomized component is order-independent (the detector's
-// behavior is a detector.ConcurrentBehavior and the adversary a
-// loss.ConcurrentPlanner — true for all honest/minimal/maxnoise detectors
-// and the built-in channel models) and the system is at least
-// DefaultDeliveryMinProcs processes; otherwise it silently falls back to
-// the sequential loop.
+// behavior is a detector.ConcurrentBehavior and the adversary passes
+// loss.ConcurrentSafe — true for all honest/minimal/maxnoise detectors and
+// the built-in channel models) and the system has at least
+// Config.DeliveryMinProcs processes (Calibrate().MinProcs when that is
+// unset); otherwise it silently falls back to the sequential loop.
 package engine
 
 import (
@@ -99,15 +104,14 @@ type Config struct {
 	// Trace selects full view recording (default) or decisions-only.
 	Trace TraceMode
 	// DeliveryWorkers shards each round's delivery loop — plus message
-	// generation and, for ShardedPlanner adversaries, the loss-plan fill —
-	// across up to this many goroutines. 0 or 1 runs sequentially;
-	// DeliveryWorkersAuto picks the count from the host calibration
-	// (Calibrate). The parallel path requires automata free of shared
-	// mutable state (sim.Scenario guarantees this) and engages only when
-	// the detector and adversary are order-independent
-	// (detector.ConcurrentBehavior / loss.ConcurrentPlanner) and the system
-	// has at least DeliveryMinProcs processes; decisions and traces are
-	// byte-identical to the sequential path at any worker count.
+	// generation and the loss matrix's row fill — across up to this many
+	// goroutines. 0 or 1 runs sequentially; DeliveryWorkersAuto picks the
+	// count from the host calibration (Calibrate). The parallel path
+	// requires automata free of shared mutable state (sim.Scenario
+	// guarantees this) and engages only when the detector and adversary are
+	// order-independent (detector.ConcurrentBehavior / loss.ConcurrentSafe)
+	// and the system has at least DeliveryMinProcs processes; decisions and
+	// traces are byte-identical to the sequential path at any worker count.
 	DeliveryWorkers int
 	// DeliveryMinProcs is the smallest system the parallel delivery path
 	// engages for (0 selects the calibrated threshold, Calibrate().MinProcs).
@@ -178,8 +182,7 @@ type Result struct {
 // rounds allocate only what the trace requires. All slices are indexed by
 // the process's position in the sorted procs table.
 type runState struct {
-	procs []model.ProcessID       // sorted process table
-	index map[model.ProcessID]int // id -> position in procs
+	procs []model.ProcessID // sorted process table
 	autos []model.Automaton
 	dec   []model.Decider // nil where the automaton never decides
 	sched model.DenseSchedule
@@ -194,6 +197,7 @@ type runState struct {
 	msgs       []*model.Message    // per-index Message results (parallel path only)
 	recvs      []*model.RecvSet    // pooled receive sets, reset every round
 	recvBuf    [][]model.RecvEntry // per-process arena snapshots (TraceFull)
+	planRow    []bool              // one receiver's loss row, for Plan-only adversaries
 }
 
 // newRunState builds the sorted process-index table and the dense per-run
@@ -202,7 +206,6 @@ func newRunState(cfg *Config) *runState {
 	n := len(cfg.Procs)
 	st := &runState{
 		procs:      make([]model.ProcessID, 0, n),
-		index:      make(map[model.ProcessID]int, n),
 		autos:      make([]model.Automaton, n),
 		dec:        make([]model.Decider, n),
 		halted:     make([]bool, n),
@@ -217,7 +220,6 @@ func newRunState(cfg *Config) *runState {
 	}
 	slices.Sort(st.procs)
 	for i, id := range st.procs {
-		st.index[id] = i
 		st.autos[i] = cfg.Procs[id]
 		if d, ok := cfg.Procs[id].(model.Decider); ok {
 			st.dec[i] = d
@@ -225,6 +227,16 @@ func newRunState(cfg *Config) *runState {
 	}
 	st.sched = cfg.Crashes.Dense(st.procs)
 	return st
+}
+
+// position returns id's index in the sorted process table, and false for
+// an ID outside it. A contiguous table (sim builds 1..n) answers by offset;
+// any other falls back to binary search.
+func (st *runState) position(id model.ProcessID) (int, bool) {
+	if i := int(id - st.procs[0]); i >= 0 && i < len(st.procs) && st.procs[i] == id {
+		return i, true
+	}
+	return slices.BinarySearch(st.procs, id)
 }
 
 // recvPool recycles receive multisets across rounds and runs in both trace
@@ -292,6 +304,15 @@ func Run(cfg Config) (*Result, error) {
 	exec := model.NewExecution(st.procs, cfg.Initial)
 	workers := resolveDeliveryWorkers(&cfg, len(st.procs), det, adversary)
 	parallel := workers > 1
+	// A row planner hands each round's loss matrix to the delivery loop.
+	// Any other adversary answers per pair through Plan's DeliveryFunc,
+	// which the loop copies into one reusable row per receiver.
+	var rowPlanner loss.ConcurrentPlanner
+	if loss.ConcurrentSafe(adversary) {
+		rowPlanner = adversary.(loss.ConcurrentPlanner)
+	} else {
+		st.planRow = make([]bool, len(st.procs))
+	}
 	var arena *model.TraceArena
 	if traceFull {
 		// Acquired from the shape-keyed reuse pool: callers that digest the
@@ -322,12 +343,13 @@ func Run(cfg Config) (*Result, error) {
 	var (
 		r        int
 		row      int               // open arena row (TraceFull)
-		plan     loss.DeliveryFunc // this round's delivery plan
-		planFill func(lo, hi int)  // this round's shard-parallel plan filler
+		plan     loss.DeliveryFunc // this round's plan, from a Plan-only adversary
+		lost     []bool            // this round's loss matrix, from a row planner
+		planFill func(lo, hi int)  // this round's shard-parallel matrix filler
 	)
 	aliveForCM := func(id model.ProcessID) bool {
-		i := st.index[id]
-		return !st.sched.CrashedForSend(i, r) && !st.halted[i]
+		i, ok := st.position(id)
+		return ok && !st.sched.CrashedForSend(i, r) && !st.halted[i]
 	}
 
 	// deliver performs the per-process half of a round's delivery phase for
@@ -339,8 +361,9 @@ func Run(cfg Config) (*Result, error) {
 	deliver := func(lo, hi int) {
 		// Copy the by-reference captures into locals so the inner loops read
 		// registers, not the closure environment.
-		r, row, plan := r, row, plan
+		r, row, plan, lost := r, row, plan, lost
 		senders, senderMsgs := st.senders, st.senderMsgs
+		k := len(senders)
 		for i := lo; i < hi; i++ {
 			id := st.procs[i]
 			if st.sched.CrashedForSend(i, r) {
@@ -358,10 +381,24 @@ func Run(cfg Config) (*Result, error) {
 				}
 				continue
 			}
+			// Receiver i's loss row: the planner's matrix row, or one filled
+			// from the DeliveryFunc in the order stateful Plan-only
+			// adversaries rely on (senders ascending, no self-pair). A nil
+			// row loses nothing; a broadcaster always hears itself.
+			var lostRow []bool
+			if rowPlanner == nil {
+				lostRow = st.planRow[:k]
+				for j, snd := range senders {
+					lostRow[j] = snd != id && !plan(id, snd)
+				}
+			} else if lost != nil {
+				lostRow = lost[i*k : (i+1)*k]
+			}
+			own := st.sendOrd[i]
 			recv := st.recvs[i]
 			recv.Reset()
-			for j, snd := range senders {
-				if snd == id || plan(id, snd) {
+			for j := range senderMsgs {
+				if lostRow == nil || !lostRow[j] || j == own {
 					recv.Add(senderMsgs[j])
 				}
 			}
@@ -413,10 +450,8 @@ func Run(cfg Config) (*Result, error) {
 	)
 	phase := phaseDeliver
 	var pool *shardPool
-	var shardedAdv loss.ShardedPlanner
 	if parallel {
 		st.msgs = make([]*model.Message, len(st.procs))
-		shardedAdv, _ = adversary.(loss.ShardedPlanner)
 		pool = newShardPool(workers, func(lo, hi int) {
 			switch phase {
 			case phaseMessage:
@@ -478,17 +513,21 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 
-		// Adversary planning: ShardedPlanner adversaries running a
-		// counter-based schedule hand back a row filler that shards across
-		// the same pool (nil fill — constant plans, v1 schedules — means the
-		// plan is already complete); everything else plans inline.
-		if shardedAdv != nil {
+		// Adversary planning. A row planner returns its loss matrix with a
+		// row filler, which shards across the pool when there is one (nil
+		// fill — constant plans, v1 schedules — means the matrix is already
+		// complete); a Plan-only adversary returns its DeliveryFunc.
+		if rowPlanner != nil {
 			var fill func(lo, hi int)
-			fill, plan = shardedAdv.PlanShards(r, st.senders, st.procs)
-			if fill != nil {
+			fill, lost = rowPlanner.PlanRows(r, st.senders, st.procs)
+			switch {
+			case fill == nil:
+			case pool != nil:
 				planFill = fill
 				phase = phasePlan
 				pool.Run(len(st.procs))
+			default:
+				fill(0, len(st.procs))
 			}
 		} else {
 			plan = adversary.Plan(r, st.senders, st.procs)

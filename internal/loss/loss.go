@@ -11,6 +11,7 @@ package loss
 import (
 	"math/rand"
 	"slices"
+	"sync/atomic"
 
 	"adhocconsensus/internal/model"
 	"adhocconsensus/internal/seedstream"
@@ -28,21 +29,34 @@ type Adversary interface {
 	Plan(r int, senders, procs []model.ProcessID) DeliveryFunc
 }
 
-// ConcurrentPlanner marks adversaries whose planned DeliveryFunc is safe for
-// concurrent calls: Plan itself is still invoked sequentially once per
-// round, but the returned func must be a pure read of the plan (no lazy
-// draws, no memoization writes). The engine's parallel delivery core only
-// engages for adversaries carrying this marker; everything else (notably
-// bespoke Func closures) silently falls back to the sequential path.
+// ConcurrentPlanner is implemented by adversaries that plan a round as a
+// loss matrix the engine reads by index, and whose plan is safe to read
+// and fill from several goroutines. PlanRows prepares round r and returns
+// a fill function plus the matrix:
+//
+//   - lost[i*len(senders)+j] reports that procs[i] misses senders[j]'s
+//     broadcast. Entries where procs[i] is senders[j] are never read: a
+//     broadcaster always hears itself. A nil lost means nothing is lost.
+//   - fill(lo, hi) completes the rows of receivers procs[lo:hi]. Distinct
+//     ranges touch disjoint state, so the engine runs fill concurrently over
+//     a partition of [0, len(procs)) and reads lost only after every range
+//     completes. A nil fill means the matrix is already complete: constant
+//     plans, ECF short-circuit rounds, and v1 (sequential-schedule)
+//     adversaries, whose draws are order-dependent and therefore made inside
+//     PlanRows itself.
+//
+// PlanRows draws exactly what Plan draws, in the same order: filling every
+// row yields the plan Plan would have produced. The matrix is valid until
+// the next PlanRows or Plan call. Plan-only adversaries (Partition, Func)
+// keep sequential delivery, where the engine consults their DeliveryFunc.
 type ConcurrentPlanner interface {
 	Adversary
-	// ConcurrentPlan is the marker method; it is never called.
-	ConcurrentPlan()
+	PlanRows(r int, senders, procs []model.ProcessID) (fill func(lo, hi int), lost []bool)
 }
 
-// ConcurrentSafe reports whether a's delivery funcs may be consulted
-// concurrently: a carries the ConcurrentPlanner marker, or is an ECF
-// wrapper around a safe (or nil) base.
+// ConcurrentSafe reports whether a plans as rows that may be filled and
+// read concurrently: a is a ConcurrentPlanner, and an ECF wrapper also
+// needs a safe (or nil) base.
 func ConcurrentSafe(a Adversary) bool {
 	switch x := a.(type) {
 	case ECF:
@@ -56,35 +70,30 @@ func ConcurrentSafe(a Adversary) bool {
 	}
 }
 
-// ShardedPlanner is implemented by adversaries whose per-round plan can be
-// filled shard-parallel. PlanShards prepares the round and returns a fill
-// function plus the DeliveryFunc reading the finished plan:
-//
-//   - fill(lo, hi) draws the loss rows of receivers procs[lo:hi]. Distinct
-//     shards touch disjoint state, so the engine runs fill concurrently
-//     over a partition of [0, len(procs)) — alongside the delivery shards'
-//     other per-receiver work — and consult fn only after every shard
-//     completes.
-//   - A nil fill means the plan is already complete: constant plans, ECF
-//     short-circuit rounds, and v1 (sequential-schedule) adversaries, whose
-//     draws are order-dependent and therefore performed inside PlanShards
-//     itself.
-//
-// PlanShards must be equivalent to Plan: calling fill(0, len(procs)) inline
-// yields the same plan Plan would have produced. The engine consults it
-// only for adversaries that already pass the ConcurrentSafe gate; it is
-// deliberately not bundled with the ConcurrentPlanner marker so that
-// wrappers like ECF can forward sharding without asserting safety.
-type ShardedPlanner interface {
-	Adversary
-	PlanShards(r int, senders, procs []model.ProcessID) (fill func(lo, hi int), fn DeliveryFunc)
-}
-
 // deliverAll is the everything-arrives plan.
 func deliverAll(model.ProcessID, model.ProcessID) bool { return true }
 
 // deliverNone is the everything-lost plan (self-delivery still applies).
 func deliverNone(model.ProcessID, model.ProcessID) bool { return false }
+
+// allLost holds the all-true loss matrix the constant everything-lost
+// plans share. It only grows, and a published slice is never written
+// again, so runs on other goroutines may keep reading an older one while
+// a larger one replaces it.
+var allLost atomic.Pointer[[]bool]
+
+// lostAll returns an n-entry loss matrix in which everything is lost.
+func lostAll(n int) []bool {
+	if p := allLost.Load(); p != nil && len(*p) >= n {
+		return (*p)[:n]
+	}
+	m := make([]bool, n)
+	for i := range m {
+		m[i] = true
+	}
+	allLost.Store(&m)
+	return m
+}
 
 // None is the lossless channel: every broadcast reaches every process.
 type None struct{}
@@ -92,8 +101,10 @@ type None struct{}
 // Plan implements Adversary.
 func (None) Plan(int, []model.ProcessID, []model.ProcessID) DeliveryFunc { return deliverAll }
 
-// ConcurrentPlan marks the constant plan as concurrency-safe.
-func (None) ConcurrentPlan() {}
+// PlanRows implements ConcurrentPlanner: nothing is lost.
+func (None) PlanRows(int, []model.ProcessID, []model.ProcessID) (func(lo, hi int), []bool) {
+	return nil, nil
+}
 
 // Drop loses every message except self-deliveries: the "never-ending
 // collisions" environment of Section 7.4 and Theorem 9, where collision
@@ -103,8 +114,10 @@ type Drop struct{}
 // Plan implements Adversary.
 func (Drop) Plan(int, []model.ProcessID, []model.ProcessID) DeliveryFunc { return deliverNone }
 
-// ConcurrentPlan marks the constant plan as concurrency-safe.
-func (Drop) ConcurrentPlan() {}
+// PlanRows implements ConcurrentPlanner: every cross delivery is lost.
+func (Drop) PlanRows(_ int, senders, procs []model.ProcessID) (func(lo, hi int), []bool) {
+	return nil, lostAll(len(procs) * len(senders))
+}
 
 // Alpha is the loss rule of the paper's alpha executions (Definition 24):
 // if a single process broadcasts, everyone receives it; if more than one
@@ -120,8 +133,13 @@ func (Alpha) Plan(_ int, senders, _ []model.ProcessID) DeliveryFunc {
 	return deliverNone
 }
 
-// ConcurrentPlan marks the constant plan as concurrency-safe.
-func (Alpha) ConcurrentPlan() {}
+// PlanRows implements ConcurrentPlanner.
+func (Alpha) PlanRows(_ int, senders, procs []model.ProcessID) (func(lo, hi int), []bool) {
+	if len(senders) == 1 {
+		return nil, nil
+	}
+	return nil, lostAll(len(procs) * len(senders))
+}
 
 // ECF wraps a base adversary with eventual collision freedom (Property 1):
 // from round From on, a lone broadcaster is heard by every process. Other
@@ -143,28 +161,22 @@ func (e ECF) Plan(r int, senders, procs []model.ProcessID) DeliveryFunc {
 	return base.Plan(r, senders, procs)
 }
 
-// PlanShards implements ShardedPlanner by forwarding to the base adversary.
-// Collision-free rounds short-circuit to the constant plan without
+// PlanRows implements ConcurrentPlanner by forwarding to the base
+// adversary, which must itself be a ConcurrentPlanner (ConcurrentSafe(e)
+// holds). Collision-free rounds short-circuit to the lossless plan without
 // consulting the base, so — exactly as under Plan — they consume no draws.
-func (e ECF) PlanShards(r int, senders, procs []model.ProcessID) (func(lo, hi int), DeliveryFunc) {
-	if r >= e.From && len(senders) == 1 {
-		return nil, deliverAll
+func (e ECF) PlanRows(r int, senders, procs []model.ProcessID) (func(lo, hi int), []bool) {
+	if (r >= e.From && len(senders) == 1) || e.Base == nil {
+		return nil, nil
 	}
-	base := e.Base
-	if base == nil {
-		base = None{}
-	}
-	if sp, ok := base.(ShardedPlanner); ok {
-		return sp.PlanShards(r, senders, procs)
-	}
-	return nil, base.Plan(r, senders, procs)
+	return e.Base.(ConcurrentPlanner).PlanRows(r, senders, procs)
 }
 
 // denseIndex maps process IDs to plan-row offsets in O(1) when the process
 // set is a contiguous ID range (the common case: sim materializes processes
-// 1..n). It replaces the per-delivery binary-search pair on the hottest
-// path; non-contiguous sets and foreign IDs fall back to binary search with
-// the exact same semantics.
+// 1..n). The DeliveryFuncs that Plan returns use it for each query;
+// non-contiguous sets and foreign IDs fall back to binary search with the
+// exact same semantics.
 type denseIndex struct {
 	on   bool
 	base model.ProcessID // procs[0] when on
@@ -234,11 +246,12 @@ func (d *denseIndex) sender(snd model.ProcessID, senders []model.ProcessID) (int
 // identical executions. Under seedstream.V2 the adversary instead reads the
 // counter stream keyed by (Seed, round, receiver): each receiver's row is
 // an independent, order-free sequence, so shards fill disjoint receiver
-// ranges concurrently via PlanShards.
+// ranges concurrently via PlanRows.
 //
-// The adversary reuses an internal loss matrix and its DeliveryFunc between
-// rounds — steady-state Plan calls allocate nothing — so the func returned
-// by Plan is valid only until the next Plan call.
+// The adversary reuses one loss matrix between rounds — PlanRows hands it
+// to the engine as is — and Plan reuses one DeliveryFunc over it, so
+// steady-state rounds allocate nothing and what a round returns is valid
+// only until the next round is planned.
 type Probabilistic struct {
 	P float64
 	// Rng is the v1 draw source, unused under V2. NewProbabilistic sets it
@@ -251,11 +264,11 @@ type Probabilistic struct {
 	Seed     int64
 
 	round   int
-	lost    []bool // len(procs)×len(senders) scratch, row-major by receiver
+	lost    []bool // len(procs)×len(senders) loss matrix, row-major by receiver
 	procs   []model.ProcessID
 	senders []model.ProcessID
 	dense   denseIndex
-	fn      DeliveryFunc     // cached closure over the scratch state
+	fn      DeliveryFunc     // cached closure over the matrix, for Plan
 	fill    func(lo, hi int) // cached V2 row filler
 }
 
@@ -271,16 +284,11 @@ func NewProbabilisticV2(p float64, seed int64) *Probabilistic {
 	return &Probabilistic{P: p, Seed: seed, Schedule: seedstream.V2}
 }
 
-// begin sizes the round's scratch and caches the plan closures.
-func (a *Probabilistic) begin(r int, senders, procs []model.ProcessID) {
-	need := len(procs) * len(senders)
-	if cap(a.lost) < need {
-		a.lost = make([]bool, need)
+// Plan implements Adversary.
+func (a *Probabilistic) Plan(r int, senders, procs []model.ProcessID) DeliveryFunc {
+	if fill, _ := a.PlanRows(r, senders, procs); fill != nil {
+		fill(0, len(procs))
 	}
-	a.lost = a.lost[:need]
-	a.round = r
-	a.procs = procs
-	a.senders = senders
 	a.dense.build(senders, procs)
 	if a.fn == nil {
 		a.fn = func(rcv, snd model.ProcessID) bool {
@@ -292,43 +300,26 @@ func (a *Probabilistic) begin(r int, senders, procs []model.ProcessID) {
 			return !a.lost[i*len(a.senders)+j]
 		}
 	}
-	if a.fill == nil {
-		a.fill = func(lo, hi int) {
-			k := len(a.senders)
-			for i := lo; i < hi; i++ {
-				rcv := a.procs[i]
-				row := a.lost[i*k : (i+1)*k]
-				key := seedstream.Key(a.Seed, a.round, uint64(rcv))
-				for j, snd := range a.senders {
-					if rcv == snd {
-						row[j] = false
-						continue
-					}
-					// Draw j of the receiver's stream, self-pairs included in
-					// the indexing: the row is a pure function of (key, j).
-					row[j] = seedstream.Float64At(key, j) < a.P
-				}
-			}
-		}
-	}
+	return a.fn
 }
 
-// Plan implements Adversary.
-func (a *Probabilistic) Plan(r int, senders, procs []model.ProcessID) DeliveryFunc {
-	fill, fn := a.PlanShards(r, senders, procs)
-	if fill != nil {
-		fill(0, len(procs))
-	}
-	return fn
-}
-
-// PlanShards implements ShardedPlanner. Under V2 it returns the
+// PlanRows implements ConcurrentPlanner. Under V2 it returns the
 // counter-stream row filler; under v1 the order-dependent Rng draws happen
 // here, sequentially, and the returned fill is nil.
-func (a *Probabilistic) PlanShards(r int, senders, procs []model.ProcessID) (func(lo, hi int), DeliveryFunc) {
-	a.begin(r, senders, procs)
+func (a *Probabilistic) PlanRows(r int, senders, procs []model.ProcessID) (func(lo, hi int), []bool) {
+	need := len(procs) * len(senders)
+	if cap(a.lost) < need {
+		a.lost = make([]bool, need)
+	}
+	a.lost = a.lost[:need]
+	a.round = r
+	a.procs = procs
+	a.senders = senders
 	if seedstream.Normalize(a.Schedule) == seedstream.V2 {
-		return a.fill, a.fn
+		if a.fill == nil {
+			a.fill = a.fillV2
+		}
+		return a.fill, a.lost
 	}
 	k := len(senders)
 	for i, rcv := range procs {
@@ -341,12 +332,27 @@ func (a *Probabilistic) PlanShards(r int, senders, procs []model.ProcessID) (fun
 			row[j] = a.Rng.Float64() < a.P
 		}
 	}
-	return nil, a.fn
+	return nil, a.lost
 }
 
-// ConcurrentPlan marks the delivery func — a pure read of the loss matrix
-// drawn during Plan — as concurrency-safe.
-func (*Probabilistic) ConcurrentPlan() {}
+// fillV2 draws the v2 rows of receivers procs[lo:hi].
+func (a *Probabilistic) fillV2(lo, hi int) {
+	k := len(a.senders)
+	for i := lo; i < hi; i++ {
+		rcv := a.procs[i]
+		row := a.lost[i*k : (i+1)*k]
+		key := seedstream.Key(a.Seed, a.round, uint64(rcv))
+		for j, snd := range a.senders {
+			if rcv == snd {
+				row[j] = false
+				continue
+			}
+			// Draw j of the receiver's stream, self-pairs included in the
+			// indexing: the row is a pure function of (key, j).
+			row[j] = seedstream.Float64At(key, j) < a.P
+		}
+	}
+}
 
 // Capture models the capture effect (Section 1.1, [71]): when two or more
 // processes broadcast simultaneously, each receiver either locks onto
@@ -355,15 +361,16 @@ func (*Probabilistic) ConcurrentPlan() {}
 // receives nothing. Lone broadcasts are delivered with probability
 // 1−PLoneLoss, modeling outside interference.
 //
-// Like Probabilistic, the adversary keeps a dense per-receiver scratch (the
-// index of the captured sender) and a cached DeliveryFunc between rounds,
-// so steady-state Plan calls allocate nothing; the func returned by Plan is
-// valid only until the next Plan call. Under the v1 schedule, draws come
-// from Rng in deterministic order (one Float64 per receiver, plus an Intn
-// sender pick for capturing receivers in a collision, lone senders skipping
-// their own draw) — identical to every earlier version. Under seedstream.V2
-// each receiver draws from its own (Seed, round, receiver) counter stream,
-// so PlanShards fills receiver ranges concurrently.
+// Like Probabilistic, the adversary reuses its scratch between rounds — the
+// index of each receiver's captured sender, the loss matrix PlanRows
+// writes from it, and the DeliveryFunc Plan returns — so steady-state
+// rounds allocate nothing and what a round returns is valid only until the
+// next round is planned. Under the v1 schedule, draws come from Rng in
+// deterministic order (one Float64 per receiver, plus an Intn sender pick
+// for capturing receivers in a collision, lone senders skipping their own
+// draw) — identical to every earlier version. Under seedstream.V2 each
+// receiver draws from its own (Seed, round, receiver) counter stream, so
+// PlanRows fills receiver ranges concurrently.
 type Capture struct {
 	PNone     float64 // probability a receiver captures nothing in a collision
 	PLoneLoss float64 // probability a lone broadcast is lost at a receiver
@@ -379,11 +386,12 @@ type Capture struct {
 	round   int
 	lone    bool    // this round has a single sender
 	capt    []int32 // per-receiver captured sender index, -1 = nothing
+	lost    []bool  // len(procs)×len(senders) loss matrix written from capt
 	procs   []model.ProcessID
 	senders []model.ProcessID
 	dense   denseIndex
-	fn      DeliveryFunc     // cached closure over the scratch state
-	fill    func(lo, hi int) // cached V2 row filler
+	fn      DeliveryFunc     // cached closure over capt, for Plan
+	fill    func(lo, hi int) // cached V2 filler
 }
 
 // NewCapture returns a capture-effect adversary with its own seeded
@@ -398,16 +406,14 @@ func NewCaptureV2(pNone, pLoneLoss float64, seed int64) *Capture {
 	return &Capture{PNone: pNone, PLoneLoss: pLoneLoss, Seed: seed, Schedule: seedstream.V2}
 }
 
-// begin sizes the round's scratch and caches the plan closures.
-func (a *Capture) begin(r int, senders, procs []model.ProcessID) {
-	if cap(a.capt) < len(procs) {
-		a.capt = make([]int32, len(procs))
+// Plan implements Adversary.
+func (a *Capture) Plan(r int, senders, procs []model.ProcessID) DeliveryFunc {
+	if len(senders) == 0 {
+		return deliverNone
 	}
-	a.capt = a.capt[:len(procs)]
-	a.round = r
-	a.procs = procs
-	a.senders = senders
-	a.lone = len(senders) == 1
+	if fill, _ := a.PlanRows(r, senders, procs); fill != nil {
+		fill(0, len(procs))
+	}
 	a.dense.build(senders, procs)
 	if a.fn == nil {
 		a.fn = func(rcv, snd model.ProcessID) bool {
@@ -425,52 +431,35 @@ func (a *Capture) begin(r int, senders, procs []model.ProcessID) {
 			return a.capt[i] == int32(j)
 		}
 	}
-	if a.fill == nil {
-		a.fill = func(lo, hi int) {
-			if a.lone {
-				for i := lo; i < hi; i++ {
-					rcv := a.procs[i]
-					a.capt[i] = 0 // the lone sender
-					if rcv != a.senders[0] &&
-						seedstream.Float64At(seedstream.Key(a.Seed, a.round, uint64(rcv)), 0) < a.PLoneLoss {
-						a.capt[i] = -1
-					}
-				}
-				return
-			}
-			for i := lo; i < hi; i++ {
-				key := seedstream.Key(a.Seed, a.round, uint64(a.procs[i]))
-				if seedstream.Float64At(key, 0) < a.PNone {
-					a.capt[i] = -1 // captures nothing
-					continue
-				}
-				// Uniform sender pick from draw 1; the 64-bit modulo bias is
-				// below 2^-50 for any realistic sender count.
-				a.capt[i] = int32(seedstream.At(key, 1) % uint64(len(a.senders)))
-			}
-		}
-	}
+	return a.fn
 }
 
-// Plan implements Adversary.
-func (a *Capture) Plan(r int, senders, procs []model.ProcessID) DeliveryFunc {
-	fill, fn := a.PlanShards(r, senders, procs)
-	if fill != nil {
-		fill(0, len(procs))
-	}
-	return fn
-}
-
-// PlanShards implements ShardedPlanner. Under V2 it returns the
-// counter-stream filler; under v1 the order-dependent Rng draws happen
-// here, sequentially, and the returned fill is nil.
-func (a *Capture) PlanShards(r int, senders, procs []model.ProcessID) (func(lo, hi int), DeliveryFunc) {
+// PlanRows implements ConcurrentPlanner. Under V2 it returns the
+// counter-stream filler, which draws and writes each receiver's row; under
+// v1 the order-dependent Rng draws and the rows are done here,
+// sequentially, and the returned fill is nil.
+func (a *Capture) PlanRows(r int, senders, procs []model.ProcessID) (func(lo, hi int), []bool) {
 	if len(senders) == 0 {
-		return nil, deliverNone
+		return nil, nil
 	}
-	a.begin(r, senders, procs)
+	if cap(a.capt) < len(procs) {
+		a.capt = make([]int32, len(procs))
+	}
+	a.capt = a.capt[:len(procs)]
+	need := len(procs) * len(senders)
+	if cap(a.lost) < need {
+		a.lost = make([]bool, need)
+	}
+	a.lost = a.lost[:need]
+	a.round = r
+	a.procs = procs
+	a.senders = senders
+	a.lone = len(senders) == 1
 	if seedstream.Normalize(a.Schedule) == seedstream.V2 {
-		return a.fill, a.fn
+		if a.fill == nil {
+			a.fill = a.fillV2
+		}
+		return a.fill, a.lost
 	}
 	if a.lone {
 		for i, rcv := range procs {
@@ -488,12 +477,49 @@ func (a *Capture) PlanShards(r int, senders, procs []model.ProcessID) (func(lo, 
 			a.capt[i] = int32(a.Rng.Intn(len(senders)))
 		}
 	}
-	return nil, a.fn
+	a.writeRows(0, len(procs))
+	return nil, a.lost
 }
 
-// ConcurrentPlan marks the delivery func — a pure read of the capture table
-// drawn during Plan — as concurrency-safe.
-func (*Capture) ConcurrentPlan() {}
+// fillV2 draws the v2 captures of receivers procs[lo:hi] and writes their
+// rows.
+func (a *Capture) fillV2(lo, hi int) {
+	if a.lone {
+		for i := lo; i < hi; i++ {
+			rcv := a.procs[i]
+			a.capt[i] = 0 // the lone sender
+			if rcv != a.senders[0] &&
+				seedstream.Float64At(seedstream.Key(a.Seed, a.round, uint64(rcv)), 0) < a.PLoneLoss {
+				a.capt[i] = -1
+			}
+		}
+	} else {
+		for i := lo; i < hi; i++ {
+			key := seedstream.Key(a.Seed, a.round, uint64(a.procs[i]))
+			if seedstream.Float64At(key, 0) < a.PNone {
+				a.capt[i] = -1 // captures nothing
+				continue
+			}
+			// Uniform sender pick from draw 1; the 64-bit modulo bias is
+			// below 2^-50 for any realistic sender count.
+			a.capt[i] = int32(seedstream.At(key, 1) % uint64(len(a.senders)))
+		}
+	}
+	a.writeRows(lo, hi)
+}
+
+// writeRows writes the loss rows of receivers procs[lo:hi] from their
+// captures: every sender but the captured one is lost.
+func (a *Capture) writeRows(lo, hi int) {
+	k := len(a.senders)
+	for i := lo; i < hi; i++ {
+		c := a.capt[i]
+		row := a.lost[i*k : (i+1)*k]
+		for j := range row {
+			row[j] = int32(j) != c
+		}
+	}
+}
 
 // Partition splits the processes into groups and loses every cross-group
 // message through round Until (inclusive); afterwards the channel is

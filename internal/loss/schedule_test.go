@@ -2,6 +2,8 @@ package loss
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"adhocconsensus/internal/model"
@@ -32,6 +34,23 @@ func planMatrix(fn DeliveryFunc, procs, senders []model.ProcessID) string {
 	return s
 }
 
+// rowsMatrix renders a PlanRows loss matrix like planMatrix renders a
+// plan: 1 where procs[i] hears senders[j]. A nil matrix loses nothing.
+func rowsMatrix(lost []bool, procs, senders []model.ProcessID) string {
+	s := ""
+	for i := range procs {
+		for j := range senders {
+			if lost == nil || !lost[i*len(senders)+j] {
+				s += "1"
+			} else {
+				s += "0"
+			}
+		}
+		s += "\n"
+	}
+	return s
+}
+
 // TestV2PlanOrderFree is the tentpole property: filling the v2 plan in
 // shards — any shard partition, any order — produces the exact plan the
 // inline fill produces, for both adversaries.
@@ -40,10 +59,10 @@ func TestV2PlanOrderFree(t *testing.T) {
 	senders := []model.ProcessID{3, 7, 8, 20, 31}
 	for _, tc := range []struct {
 		name string
-		mk   func() ShardedPlanner
+		mk   func() ConcurrentPlanner
 	}{
-		{"probabilistic", func() ShardedPlanner { return NewProbabilisticV2(0.4, 99) }},
-		{"capture", func() ShardedPlanner { return NewCaptureV2(0.3, 0.1, 99) }},
+		{"probabilistic", func() ConcurrentPlanner { return NewProbabilisticV2(0.4, 99) }},
+		{"capture", func() ConcurrentPlanner { return NewCaptureV2(0.3, 0.1, 99) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inline := tc.mk()
@@ -55,9 +74,9 @@ func TestV2PlanOrderFree(t *testing.T) {
 				{5, 5, 5, 5, 11}, // many
 			} {
 				a := tc.mk()
-				fill, fn := a.PlanShards(5, senders, procs)
+				fill, lost := a.PlanRows(5, senders, procs)
 				if fill == nil {
-					t.Fatal("v2 PlanShards returned nil fill")
+					t.Fatal("v2 PlanRows returned nil fill")
 				}
 				// Fill shards back to front: the plan must not depend on order.
 				bounds := [][2]int{}
@@ -69,7 +88,7 @@ func TestV2PlanOrderFree(t *testing.T) {
 				for i := len(bounds) - 1; i >= 0; i-- {
 					fill(bounds[i][0], bounds[i][1])
 				}
-				if got := planMatrix(fn, procs, senders); got != want {
+				if got := rowsMatrix(lost, procs, senders); got != want {
 					t.Fatalf("shards %v: plan differs from inline fill:\n%s\nwant:\n%s", shards, got, want)
 				}
 			}
@@ -256,22 +275,17 @@ func TestV2SteadyStateAllocationFree(t *testing.T) {
 }
 
 // TestECFShardsShortCircuitWithoutDraws pins two ECF sharding contracts:
-// collision-free rounds return the constant plan with a nil fill and
-// consume no stream draws (the next contended round's plan is unaffected),
-// and contended rounds forward the base's filler.
+// collision-free rounds return the lossless plan (nil fill, nil matrix)
+// and consume no stream draws (the next contended round's plan is
+// unaffected), and contended rounds forward the base's filler.
 func TestECFShardsShortCircuitWithoutDraws(t *testing.T) {
 	procs := ids(8)
 	e := ECF{Base: NewProbabilisticV2(0.4, 3), From: 2}
-	fill, fn := e.PlanShards(5, procs[:1], procs)
-	if fill != nil {
-		t.Fatal("short-circuit round returned a filler")
+	fill, lost := e.PlanRows(5, procs[:1], procs)
+	if fill != nil || lost != nil {
+		t.Fatal("short-circuit round returned a filler or a loss matrix")
 	}
-	for _, rcv := range procs {
-		if !fn(rcv, procs[0]) {
-			t.Fatal("short-circuit round lost a lone broadcast")
-		}
-	}
-	fill, _ = e.PlanShards(5, procs[:2], procs)
+	fill, _ = e.PlanRows(5, procs[:2], procs)
 	if fill == nil {
 		t.Fatal("contended round did not forward the base filler")
 	}
@@ -280,15 +294,16 @@ func TestECFShardsShortCircuitWithoutDraws(t *testing.T) {
 	// stay in lockstep.
 	mk := func() ECF { return ECF{Base: NewProbabilistic(0.4, 3), From: 2} }
 	x, y := mk(), mk()
-	x.Plan(5, procs[:1], procs) // short-circuit: no draws
-	px := planMatrix(x.Plan(6, procs[:2], procs), procs, procs[:2])
+	x.PlanRows(5, procs[:1], procs) // short-circuit: no draws
+	_, lx := x.PlanRows(6, procs[:2], procs)
+	px := rowsMatrix(lx, procs, procs[:2])
 	py := planMatrix(y.Plan(6, procs[:2], procs), procs, procs[:2])
 	if px != py {
 		t.Fatal("ECF short-circuit round consumed v1 Rng draws")
 	}
 }
 
-// TestV1PlanShardsSequentialEquivalence: a v1 adversary's PlanShards must
+// TestV1PlanShardsSequentialEquivalence: a v1 adversary's PlanRows must
 // perform the order-dependent draws itself (nil fill) and yield the exact
 // plan Plan yields.
 func TestV1PlanShardsSequentialEquivalence(t *testing.T) {
@@ -296,25 +311,88 @@ func TestV1PlanShardsSequentialEquivalence(t *testing.T) {
 	senders := procs[:5]
 	for _, tc := range []struct {
 		name string
-		mk   func() ShardedPlanner
+		mk   func() ConcurrentPlanner
 	}{
-		{"probabilistic", func() ShardedPlanner { return NewProbabilistic(0.4, 11) }},
-		{"capture", func() ShardedPlanner { return NewCapture(0.3, 0.1, 11) }},
+		{"probabilistic", func() ConcurrentPlanner { return NewProbabilistic(0.4, 11) }},
+		{"capture", func() ConcurrentPlanner { return NewCapture(0.3, 0.1, 11) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := tc.mk(), tc.mk()
 			for r := 1; r <= 5; r++ {
 				want := planMatrix(a.Plan(r, senders, procs), procs, senders)
-				fill, fn := b.PlanShards(r, senders, procs)
+				fill, lost := b.PlanRows(r, senders, procs)
 				if fill != nil {
-					t.Fatalf("round %d: v1 PlanShards returned a filler", r)
+					t.Fatalf("round %d: v1 PlanRows returned a filler", r)
 				}
-				if got := planMatrix(fn, procs, senders); got != want {
-					t.Fatalf("round %d: PlanShards plan differs from Plan:\n%s\nwant:\n%s", r, got, want)
+				if got := rowsMatrix(lost, procs, senders); got != want {
+					t.Fatalf("round %d: PlanRows plan differs from Plan:\n%s\nwant:\n%s", r, got, want)
 				}
 			}
 		})
 	}
+}
+
+// TestConstantPlanRows checks the constant plans' matrices against their
+// DeliveryFuncs, off the diagonal (self entries are never read), in lone
+// and contended rounds, and that the shared all-lost matrix serves a
+// smaller round after a larger one.
+func TestConstantPlanRows(t *testing.T) {
+	procs := ids(6)
+	offDiagonal := func(m string, senders []model.ProcessID) string {
+		b := []byte(m)
+		for i, rcv := range procs {
+			for j, snd := range senders {
+				if rcv == snd {
+					b[i*(len(senders)+1)+j] = '-'
+				}
+			}
+		}
+		return string(b)
+	}
+	for _, tc := range []struct {
+		name string
+		adv  ConcurrentPlanner
+	}{
+		{"none", None{}},
+		{"drop", Drop{}},
+		{"alpha", Alpha{}},
+		{"ecf-nil", ECF{From: 1}},
+		{"ecf-drop", ECF{Base: Drop{}, From: 3}},
+	} {
+		for _, senders := range [][]model.ProcessID{procs, procs[2:3], procs[1:4], nil} {
+			for _, r := range []int{1, 4} {
+				want := offDiagonal(planMatrix(tc.adv.Plan(r, senders, procs), procs, senders), senders)
+				fill, lost := tc.adv.PlanRows(r, senders, procs)
+				if fill != nil {
+					t.Fatalf("%s: constant plan returned a filler", tc.name)
+				}
+				if got := offDiagonal(rowsMatrix(lost, procs, senders), senders); got != want {
+					t.Fatalf("%s round %d senders %v: rows\n%s\nwant\n%s", tc.name, r, senders, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDropRowsConcurrent reads and grows the shared all-lost matrix from
+// several goroutines at once, as parallel sweeps over Drop and Alpha do.
+func TestDropRowsConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 1; n <= 48; n++ {
+				procs := ids(n * g)
+				_, lost := Drop{}.PlanRows(1, procs, procs)
+				if len(lost) != len(procs)*len(procs) || slices.Contains(lost, false) {
+					t.Errorf("%d-process Drop matrix: %d entries, want %d, all lost", len(procs), len(lost), len(procs)*len(procs))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestScheduleConstructors documents which constructor yields which

@@ -14,10 +14,13 @@
 // Receive sets in the simulator almost always hold only a handful of
 // distinct messages, so this path avoids map allocation and hashing
 // entirely. Once the number of distinct elements exceeds smallLimit the
-// multiset spills to the map representation and stays there (a Reset keeps
-// the map's buckets, so pooled multisets that spilled once stay
-// allocation-free afterwards). All operations are representation-agnostic;
-// the two representations are observationally identical.
+// multiset spills to the map representation. Reset returns it to the
+// compact form and keeps the map as a spare, which the next spill clears
+// and reuses: a pooled multiset pays map costs only while it really holds
+// more than smallLimit distinct elements, and a multiset that spilled once
+// spills again without allocating. All operations are
+// representation-agnostic; the two representations are observationally
+// identical.
 package multiset
 
 import (
@@ -40,9 +43,10 @@ type entry[T comparable] struct {
 // Multiset is a finite multiset over T. The zero value is an empty multiset
 // ready to use.
 type Multiset[T comparable] struct {
-	small  []entry[T] // compact representation; unused once counts != nil
-	counts map[T]int  // spilled representation; nil while compact
-	size   int
+	small   []entry[T] // compact representation; unused while spilled
+	counts  map[T]int  // spilled representation; a stale spare while compact
+	spilled bool
+	size    int
 }
 
 // New returns an empty multiset.
@@ -69,13 +73,19 @@ func FromSet[T comparable](set map[T]struct{}) *Multiset[T] {
 	return m
 }
 
-// spill migrates the compact representation into a map.
+// spill migrates the compact representation into the map, reusing the
+// spare left by an earlier spill.
 func (m *Multiset[T]) spill() {
-	m.counts = make(map[T]int, 2*smallLimit)
+	if m.counts == nil {
+		m.counts = make(map[T]int, 2*smallLimit)
+	} else {
+		clear(m.counts)
+	}
 	for _, en := range m.small {
 		m.counts[en.elem] = en.count
 	}
 	m.small = m.small[:0]
+	m.spilled = true
 }
 
 // Add inserts one copy of e.
@@ -89,7 +99,7 @@ func (m *Multiset[T]) AddN(e T, n int) {
 	if n == 0 {
 		return
 	}
-	if m.counts != nil {
+	if m.spilled {
 		m.counts[e] += n
 		m.size += n
 		return
@@ -113,7 +123,7 @@ func (m *Multiset[T]) AddN(e T, n int) {
 
 // Remove deletes one copy of e, reporting whether a copy was present.
 func (m *Multiset[T]) Remove(e T) bool {
-	if m.counts != nil {
+	if m.spilled {
 		if m.counts[e] == 0 {
 			return false
 		}
@@ -145,7 +155,7 @@ func (m *Multiset[T]) Count(e T) int {
 	if m == nil {
 		return 0
 	}
-	if m.counts != nil {
+	if m.spilled {
 		return m.counts[e]
 	}
 	for i := range m.small {
@@ -172,7 +182,7 @@ func (m *Multiset[T]) Distinct() int {
 	if m == nil {
 		return 0
 	}
-	if m.counts != nil {
+	if m.spilled {
 		return len(m.counts)
 	}
 	return len(m.small)
@@ -240,7 +250,7 @@ func (m *Multiset[T]) Range(fn func(e T, count int) bool) {
 	if m == nil {
 		return
 	}
-	if m.counts != nil {
+	if m.spilled {
 		for e, n := range m.counts {
 			if !fn(e, n) {
 				return
@@ -293,15 +303,13 @@ func (m *Multiset[T]) UnionInto(other *Multiset[T]) {
 	})
 }
 
-// Reset empties the multiset in place, retaining its backing storage (the
-// inline array, or the map's buckets once spilled) so pooled multisets can
-// be refilled round after round without allocating.
+// Reset empties the multiset in place and returns it to the compact form.
+// It keeps the inline array and, once spilled, the map as the next spill's
+// spare, so pooled multisets refill round after round without allocating.
 func (m *Multiset[T]) Reset() {
 	m.size = 0
 	m.small = m.small[:0]
-	if m.counts != nil {
-		clear(m.counts)
-	}
+	m.spilled = false
 }
 
 // Intersect returns the multiset intersection: per-element minimum

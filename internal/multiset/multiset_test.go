@@ -295,7 +295,7 @@ func spilled(m *Multiset[uint8]) *Multiset[uint8] {
 	for v := 0; v < smallLimit+1; v++ {
 		out.Add(uint8(v))
 	}
-	if out.counts == nil {
+	if !out.spilled {
 		panic("padding did not spill")
 	}
 	for v := 0; v < smallLimit+1; v++ {
@@ -310,11 +310,11 @@ func TestSpillThreshold(t *testing.T) {
 	for i := 0; i < smallLimit; i++ {
 		m.Add(i)
 	}
-	if m.counts != nil {
+	if m.spilled {
 		t.Fatalf("spilled at %d distinct elements, limit is %d", m.Distinct(), smallLimit)
 	}
 	m.Add(smallLimit)
-	if m.counts == nil {
+	if !m.spilled {
 		t.Fatal("did not spill past smallLimit distinct elements")
 	}
 	if m.Len() != smallLimit+1 || m.Distinct() != smallLimit+1 {
@@ -386,25 +386,41 @@ func TestResetEmptiesInPlace(t *testing.T) {
 	}
 }
 
-func TestResetKeepsSpilledRepresentation(t *testing.T) {
+// TestResetReturnsToCompactForm: Reset takes a spilled set back to the
+// compact form, which then holds up to smallLimit distinct elements again,
+// and a later spill reuses the spare map without allocating.
+func TestResetReturnsToCompactForm(t *testing.T) {
 	m := New[int]()
 	for i := 0; i <= smallLimit; i++ {
 		m.Add(i)
 	}
-	if m.counts == nil {
+	if !m.spilled {
 		t.Fatal("setup: multiset did not spill")
 	}
 	m.Reset()
-	if m.counts == nil {
-		t.Fatal("Reset dropped the map buckets (would re-spill every reuse)")
+	if m.spilled || m.Len() != 0 || m.Distinct() != 0 {
+		t.Fatalf("after Reset: spilled=%v len=%d distinct=%d", m.spilled, m.Len(), m.Distinct())
 	}
-	if m.Len() != 0 || m.Distinct() != 0 {
-		t.Fatalf("after Reset: len=%d distinct=%d", m.Len(), m.Distinct())
+	for i := 0; i < smallLimit; i++ {
+		m.AddN(100+i, 2)
 	}
-	m.Add(3)
-	m.Add(3)
-	if m.Count(3) != 2 || m.Len() != 2 {
-		t.Fatal("spilled multiset unusable after Reset")
+	if m.spilled {
+		t.Fatalf("spilled at %d distinct elements after Reset, limit is %d", m.Distinct(), smallLimit)
+	}
+	if m.Count(100) != 2 || m.Count(0) != 0 || m.Len() != 2*smallLimit {
+		t.Fatalf("refilled compact set wrong: %v", m)
+	}
+	respill := func() {
+		m.Reset()
+		for i := 0; i <= smallLimit; i++ {
+			m.Add(200 + i)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, respill); avg != 0 {
+		t.Fatalf("spill after Reset allocates %.1f objects, want 0", avg)
+	}
+	if !m.spilled || m.Distinct() != smallLimit+1 || m.Count(0) != 0 || m.Count(200) != 1 {
+		t.Fatalf("re-spilled set wrong: %v", m)
 	}
 }
 
@@ -477,5 +493,95 @@ func TestQuickAppendPairsPreservesMultiset(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// FuzzMultisetOps drives a Multiset[uint8] and a map model through the same
+// script and requires them to agree after every operation. Each operation
+// takes two bytes: the first picks the operation (and AddN's count), the
+// second the element, from more values than the compact form holds, so
+// scripts spill, Reset, and spill again over a stale spare map.
+func FuzzMultisetOps(f *testing.F) {
+	for _, distinct := range []int{0, smallLimit, smallLimit + 1, 40} {
+		var script []byte
+		for e := 0; e < distinct; e++ {
+			script = append(script, opAdd, byte(e))
+		}
+		script = append(script, opReset, 0)
+		for e := 0; e < distinct; e++ {
+			script = append(script, opAdd, byte(distinct-e))
+		}
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		m := New[uint8]()
+		want := map[uint8]int{}
+		for i := 0; i+1 < len(script); i += 2 {
+			op, e := script[i]%numOps, script[i+1]%40
+			switch op {
+			case opAdd:
+				m.Add(e)
+				want[e]++
+			case opAddN:
+				n := int(script[i] / numOps % 4)
+				m.AddN(e, n)
+				if n > 0 {
+					want[e] += n
+				}
+			case opRemove:
+				if got := m.Remove(e); got != (want[e] > 0) {
+					t.Fatalf("op %d: Remove(%d) = %v with model count %d", i/2, e, got, want[e])
+				}
+				if want[e]--; want[e] <= 0 {
+					delete(want, e)
+				}
+			case opReset:
+				m.Reset()
+				clear(want)
+			}
+			checkModel(t, i/2, m, want)
+		}
+	})
+}
+
+// FuzzMultisetOps operation codes. Count, Len, Distinct, Range and
+// AppendPairs are observed after every operation.
+const (
+	opAdd byte = iota
+	opAddN
+	opRemove
+	opReset
+	numOps
+)
+
+// checkModel compares every observation of m against the model counts.
+func checkModel(t *testing.T, step int, m *Multiset[uint8], want map[uint8]int) {
+	t.Helper()
+	size := 0
+	for e, n := range want {
+		size += n
+		if got := m.Count(e); got != n {
+			t.Fatalf("op %d: Count(%d) = %d, model %d", step, e, got, n)
+		}
+	}
+	if m.Len() != size || m.Distinct() != len(want) {
+		t.Fatalf("op %d: Len %d Distinct %d, model %d and %d", step, m.Len(), m.Distinct(), size, len(want))
+	}
+	seen := map[uint8]int{}
+	m.Range(func(e uint8, n int) bool {
+		if _, dup := seen[e]; dup {
+			t.Fatalf("op %d: Range yields %d twice", step, e)
+		}
+		seen[e] = n
+		return true
+	})
+	pairs := m.AppendPairs(nil)
+	if len(seen) != len(want) || len(pairs) != len(want) {
+		t.Fatalf("op %d: Range yields %d elements, AppendPairs %d, model %d", step, len(seen), len(pairs), len(want))
+	}
+	for _, p := range pairs {
+		if want[p.Elem] != p.Count || seen[p.Elem] != p.Count {
+			t.Fatalf("op %d: element %d: AppendPairs %d, Range %d, model %d", step, p.Elem, p.Count, seen[p.Elem], want[p.Elem])
+		}
 	}
 }
