@@ -103,19 +103,25 @@ func sweepParallelScenarios() []sim.Scenario {
 		MaxRounds: 4000,
 		Trace:     engine.TraceDecisionsOnly,
 	}
-	sizeAxis := make([]sim.Mutation, 0, 3)
+	scenarios := make([]sim.Scenario, 0, 72)
+	g := 0 // grid point: size-major, loss rate fastest
 	for _, n := range []int{4, 8, 16} {
 		values := make([]model.Value, n)
 		for i := range values {
 			values[i] = model.Value(uint64(i*7919+1) % domain.Size)
 		}
-		sizeAxis = append(sizeAxis, func(s *sim.Scenario) { s.Values = values })
+		for _, p := range []float64{0.2, 0.35, 0.5} {
+			for t := 0; t < 8; t++ {
+				s := base
+				s.Values = values
+				s.LossP = p
+				s.Seed = sim.TrialSeed(1, g, t)
+				scenarios = append(scenarios, s)
+			}
+			g++
+		}
 	}
-	lossAxis := make([]sim.Mutation, 0, 3)
-	for _, p := range []float64{0.2, 0.35, 0.5} {
-		lossAxis = append(lossAxis, func(s *sim.Scenario) { s.LossP = p })
-	}
-	return sim.NewSweep(base).Seed(1).Axis(sizeAxis...).Axis(lossAxis...).Trials(8).Scenarios()
+	return scenarios
 }
 
 // BenchmarkSweepParallel prices the parallel sweep runner against the

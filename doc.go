@@ -64,9 +64,10 @@
 //     (message, count) segments — instead of per-round map[ProcessID]View,
 //     so recording a full execution is also allocation-free in steady
 //     state (n=8: 60 allocs per 256-round run vs 49 decisions-only, down
-//     from 4065). Views materialize lazily through the model accessors;
-//     Execution.MaterializeRounds is the escape hatch back to the legacy
-//     []Round shape;
+//     from 4065). The arena is the only shape of a recorded execution:
+//     views materialize lazily through the model accessors, and
+//     validation, indistinguishability and the derived traces read its
+//     columns directly;
 //   - parallel round core: Config.DeliveryWorkers (engine.Config
 //     .DeliveryWorkers) shards each round's O(n·senders) delivery loop
 //     across a worker pool for large systems — intra-run parallelism
@@ -109,9 +110,8 @@
 // Underneath the public Config sits a declarative scenario layer
 // (internal/sim): a run is a sim.Scenario value — algorithm, detector
 // class, contention manager, loss model, topology of crashes, seed — a
-// sweep is a grid of scenarios (sim.Sweep takes the cross-product of
-// mutation axes times a trial count), and a worker-pool runner executes
-// trials in parallel. Determinism is preserved by construction: every
+// sweep is a slice of scenarios, and a worker-pool runner executes trials
+// in parallel. Determinism is preserved by construction: every
 // randomized component is built inside its trial from the scenario's seed,
 // and per-trial seeds derive from the sweep seed via a splitmix64 mix of
 // (sweep seed, scenario index, trial index), so results are byte-identical

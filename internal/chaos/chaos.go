@@ -59,9 +59,6 @@ func (s *Sink) Consume(r sim.Result) error {
 	return s.Base.Consume(r)
 }
 
-// Flush implements sink.Flusher by flushing the wrapped sink.
-func (s *Sink) Flush() error { return sink.Flush(s.Base) }
-
 // TornWriter passes writes through until Limit bytes, then truncates: the
 // byte stream a process SIGKILLed mid-write leaves behind. The first write
 // crossing the limit is cut exactly at it (the partial bytes ARE written —

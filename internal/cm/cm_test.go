@@ -56,6 +56,62 @@ func TestWakeUpStabilizesOnMinAlive(t *testing.T) {
 	}
 }
 
+// TestMinAliveQueries checks minAlive's answer against a reference on every
+// crash subset and rotation of the unsorted table, and counts the liveness
+// queries a stabilized wake-up round makes on a sorted 256-process table:
+// one, plus one per crashed process ahead of the first alive one.
+func TestMinAliveQueries(t *testing.T) {
+	for mask := 0; mask < 1<<len(procs); mask++ {
+		var dead []model.ProcessID
+		for i, id := range procs {
+			if mask&(1<<i) != 0 {
+				dead = append(dead, id)
+			}
+		}
+		alive := aliveExcept(dead...)
+		want := model.ProcessID(-1)
+		for _, id := range procs {
+			if alive(id) && (want == -1 || id < want) {
+				want = id
+			}
+		}
+		if want == -1 {
+			want = 1 // all crashed: the smallest index
+		}
+		for rot := range procs {
+			order := append(append([]model.ProcessID{}, procs[rot:]...), procs[:rot]...)
+			if got := minAlive(order, alive); got != want {
+				t.Fatalf("dead %v, order %v: minAlive = p%d, want p%d", dead, order, got, want)
+			}
+		}
+	}
+
+	sorted := make([]model.ProcessID, 256)
+	for i := range sorted {
+		sorted[i] = model.ProcessID(i + 1)
+	}
+	out := make([]model.CMAdvice, len(sorted))
+	for _, k := range []int{0, 1, 17, 255, 256} {
+		calls := 0
+		alive := func(id model.ProcessID) bool {
+			calls++
+			return int(id) > k
+		}
+		WakeUp{Stable: 1}.AdviseInto(5, sorted, alive, out)
+		leader := k // index of the first alive process
+		if k == len(sorted) {
+			leader = 0 // all crashed: the smallest index
+		}
+		if out[leader] != model.CMActive {
+			t.Fatalf("first %d crashed: p%d not active", k, sorted[leader])
+		}
+		wantCalls := min(k+1, len(sorted))
+		if calls != wantCalls {
+			t.Fatalf("first %d crashed: %d liveness queries, want %d", k, calls, wantCalls)
+		}
+	}
+}
+
 func TestWakeUpRotates(t *testing.T) {
 	w := WakeUp{Stable: 1, Rotate: true}
 	seen := make(map[model.ProcessID]bool)

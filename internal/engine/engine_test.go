@@ -905,59 +905,6 @@ func TestReleaseClosesTraceAllocations(t *testing.T) {
 	}
 }
 
-// TestArenaMatchesLegacyViews runs a crashy, lossy full-trace execution and
-// checks the arena-backed views against the materialize-to-legacy escape
-// hatch: every view equal, every derived trace equal, identical JSON.
-func TestArenaMatchesLegacyViews(t *testing.T) {
-	res, err := Run(traceConfig(TraceFull))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec := res.Execution
-	if exec.Arena == nil {
-		t.Fatal("full-trace run did not record an arena")
-	}
-	legacy := &model.Execution{
-		Procs:     exec.Procs,
-		Rounds:    exec.MaterializeRounds(),
-		Decisions: exec.Decisions,
-		Initial:   exec.Initial,
-	}
-	if legacy.NumRounds() != exec.NumRounds() {
-		t.Fatalf("materialized %d rounds, arena has %d", legacy.NumRounds(), exec.NumRounds())
-	}
-	for r := 1; r <= exec.NumRounds(); r++ {
-		for _, id := range exec.Procs {
-			va, ok1 := exec.View(id, r)
-			vl, ok2 := legacy.View(id, r)
-			if !ok1 || !ok2 || !model.EqualView(va, vl) {
-				t.Fatalf("round %d process %d: arena and materialized views differ", r, id)
-			}
-		}
-	}
-	for _, id := range exec.Procs {
-		if !exec.IndistinguishableTo(legacy, id, exec.NumRounds()) {
-			t.Fatalf("process %d distinguishes the arena from its materialization", id)
-		}
-	}
-	if err := exec.Validate(); err != nil {
-		t.Fatalf("arena execution invalid: %v", err)
-	}
-	if err := legacy.Validate(); err != nil {
-		t.Fatalf("materialized execution invalid: %v", err)
-	}
-	var ab, lb strings.Builder
-	if err := exec.WriteJSON(&ab); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.WriteJSON(&lb); err != nil {
-		t.Fatal(err)
-	}
-	if ab.String() != lb.String() {
-		t.Fatal("arena JSON export differs from materialized legacy export")
-	}
-}
-
 // parallelConfig builds a concurrency-safe system (honest detector,
 // probabilistic loss under ECF, crashes with both timings) whose delivery
 // loop is eligible for sharding.

@@ -13,14 +13,15 @@ import (
 
 // AppendEvent appends e as one JSONL line (newline included) to dst,
 // mirroring the Event JSON tags. Hand-rolled like the sink's record
-// encoder so the exporter does not allocate per line.
+// encoder so the exporter does not allocate per line; both quote strings
+// with AppendJSONString.
 func AppendEvent(dst []byte, e Event) []byte {
 	dst = append(dst, `{"seq":`...)
 	dst = strconv.AppendUint(dst, e.Seq, 10)
 	dst = append(dst, `,"t":`...)
 	dst = strconv.AppendInt(dst, e.TimeNs, 10)
 	dst = append(dst, `,"ev":`...)
-	dst = strconv.AppendQuote(dst, e.Type)
+	dst = AppendJSONString(dst, e.Type)
 	if e.Span != 0 {
 		dst = append(dst, `,"span":`...)
 		dst = strconv.AppendUint(dst, e.Span, 10)
@@ -35,7 +36,7 @@ func AppendEvent(dst []byte, e Event) []byte {
 	}
 	if e.Seg != "" {
 		dst = append(dst, `,"seg":`...)
-		dst = strconv.AppendQuote(dst, e.Seg)
+		dst = AppendJSONString(dst, e.Seg)
 	}
 	if e.Trial != NoTrial {
 		dst = append(dst, `,"trial":`...)
@@ -47,10 +48,33 @@ func AppendEvent(dst []byte, e Event) []byte {
 	}
 	if e.Cause != "" {
 		dst = append(dst, `,"cause":`...)
-		dst = strconv.AppendQuote(dst, e.Cause)
+		dst = AppendJSONString(dst, e.Cause)
 	}
 	dst = append(dst, '}', '\n')
 	return dst
+}
+
+// AppendJSONString appends s to b as a JSON string: quote and backslash
+// are escaped, control bytes take the \u00XX form, and every other byte
+// passes through verbatim (valid UTF-8 needs no escaping in JSON; a decoder
+// reads an invalid byte as U+FFFD). The shard and journal encoders share
+// it, so each line they write parses with encoding/json.
+func AppendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', c)
+		case c < 0x20:
+			b = append(b, `\u00`...)
+			const hex = "0123456789abcdef"
+			b = append(b, hex[c>>4], hex[c&0xf])
+		default:
+			b = append(b, c)
+		}
+	}
+	return append(b, '"')
 }
 
 // ParseEvent decodes one JSONL line. Absent trial fields decode to

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestAppendParseRoundTrip(t *testing.T) {
@@ -41,6 +42,41 @@ func TestAppendParseRoundTrip(t *testing.T) {
 	if _, err := ParseEvent([]byte(`{"seq":1}`)); err == nil {
 		t.Error("ParseEvent accepted a line without an ev field")
 	}
+}
+
+// FuzzAppendParseEvent checks that the line AppendEvent writes for any
+// Event with a type is one terminated line that ParseEvent accepts, and
+// that the round trip is exact when the string fields are valid UTF-8 (a
+// JSON decoder reads an invalid byte as U+FFFD). The seed corpus puts
+// control bytes, quotes, backslashes, multi-byte runes and an invalid byte
+// in every string field.
+func FuzzAppendParseEvent(f *testing.F) {
+	f.Add(uint64(1), int64(42), "job.begin", uint64(3), uint64(0), int64(7), "", NoTrial, int64(0), "")
+	f.Add(uint64(2), int64(43), TypeQuarantine, uint64(0), uint64(4), int64(7), "T3", int64(0), int64(0), CausePanic)
+	f.Add(uint64(3), int64(-1), "a\x07b", uint64(0), uint64(0), int64(0), "a\x07b", int64(5), int64(-1), "\x00\x1f\x7f")
+	f.Add(uint64(4), int64(0), "\xff", uint64(1), uint64(2), int64(-3), "seg\xff", NoTrial, int64(9), "x\"y\\z\n\t")
+	f.Add(^uint64(0), int64(-1)<<63, "ü\u2028日本", uint64(0), ^uint64(0), int64(1), "\u00e9", int64(1)<<62, int64(1), "\r")
+	f.Add(uint64(6), int64(7), "", uint64(0), uint64(0), int64(0), "", NoTrial, int64(0), "")
+	f.Fuzz(func(t *testing.T, seq uint64, ts int64, typ string, span, parent uint64, job int64, seg string, trial, n int64, cause string) {
+		e := Event{Seq: seq, TimeNs: ts, Type: typ, Span: span, Parent: parent, Job: job, Seg: seg, Trial: trial, N: n, Cause: cause}
+		line := AppendEvent(nil, e)
+		if bytes.IndexByte(line, '\n') != len(line)-1 {
+			t.Fatalf("AppendEvent(%+v) = %q, not one terminated line", e, line)
+		}
+		got, err := ParseEvent(line)
+		if typ == "" {
+			if err == nil {
+				t.Fatalf("ParseEvent accepted %q, a line with an empty type", line)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("ParseEvent(%q): %v", line, err)
+		}
+		if utf8.ValidString(typ) && utf8.ValidString(seg) && utf8.ValidString(cause) && got != e {
+			t.Fatalf("%q round-tripped to %+v, want %+v", line, got, e)
+		}
+	})
 }
 
 func TestCountTypes(t *testing.T) {

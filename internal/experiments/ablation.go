@@ -59,7 +59,6 @@ func a1Build() ([]sim.Scenario, RenderFunc, error) {
 				s.BuildLoss = adv.mk(seed)
 				s.MaxRounds = 60
 				s.Seed = seed
-				s.PinSeed = true
 				scenarios = append(scenarios, s)
 			}
 		}
@@ -147,7 +146,6 @@ func a2Build() ([]sim.Scenario, RenderFunc, error) {
 				s.BuildBehavior = noisyDetector(p/2, seed)
 				s.BuildLoss = probLoss(p, seed)
 				s.Seed = seed
-				s.PinSeed = true
 				scenarios = append(scenarios, s)
 			}
 		}

@@ -14,7 +14,7 @@ import (
 // the A3 substrates, the M1 multihop floods). A WorkExperiment declares its
 // trials as a deterministic list of serializable sink.WorkItems, executes
 // any subset of them through a kind-dispatched run function, and folds the
-// canonical outcome digests back into its table — so Sweep.Shard-style
+// canonical outcome digests back into its table — so ShardScenarios-style
 // partitioning, the JSONL sink, and replay's render-without-rerun serve
 // EVERY experiment, not just the scenario grids.
 

@@ -29,15 +29,16 @@ type RecvEntry = multiset.Pair[Message]
 //     producing engine appends to it during the run; from the moment the run
 //     returns it is read-only. Nothing in this package mutates a recorded
 //     arena.
-//   - Views handed out by accessors (ViewAt, Execution.View,
-//     MaterializeRounds) are snapshots: their Sent pointer and Recv multiset
-//     are freshly materialized per call, so callers may mutate them freely
-//     without corrupting the arena, and must not expect mutations to be
-//     visible to other readers.
+//   - Views handed out by accessors (ViewAt, Execution.View, Round.ViewOf)
+//     are snapshots: their Sent pointer and Recv multiset are freshly
+//     materialized per call, so callers may mutate them freely without
+//     corrupting the arena, and must not expect mutations to be visible to
+//     other readers.
 //   - Writer methods (BeginRound, RecordCell, FinishCellRecv) follow a strict
 //     protocol — rounds begin in order, RecordCell may run concurrently for
 //     distinct cells of the open row, FinishCellRecv runs sequentially in
-//     ascending cell order — and are for the engine; analysis code only
+//     ascending cell order — and are for the engine and for tests or proof
+//     constructions that build an execution by hand; analysis code only
 //     reads.
 type TraceArena struct {
 	n int // processes per round (cells per row)
@@ -318,8 +319,7 @@ func (a *TraceArena) RecvPairs(k, i int) []RecvEntry {
 }
 
 // ViewAt materializes the View of cell (k, i): a snapshot whose Sent pointer
-// and Recv multiset are freshly allocated, equal (per EqualView) to the view
-// the legacy map representation recorded for the same round.
+// and Recv multiset are freshly allocated.
 func (a *TraceArena) ViewAt(k, i int) View {
 	v := View{
 		CD:      a.CD(k, i),

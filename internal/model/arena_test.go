@@ -2,173 +2,193 @@ package model
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
 	"adhocconsensus/internal/multiset"
 )
 
-// arenaFixture builds the same 3-process, 3-round execution twice: once
-// through the TraceArena writer protocol (as the engine records it) and
-// once as a hand-built legacy map execution. Round 2 crashes process 2, so
-// the fixture covers crash cells, silent processes, lost messages, and
-// multi-copy receive sets.
-func arenaFixture(t *testing.T) (arenaExec, legacyExec *Execution) {
-	t.Helper()
-	procs := []ProcessID{1, 2, 3}
-	initial := map[ProcessID]Value{1: 5, 2: 7, 3: 9}
+// fixtureProcs are the arena fixture's processes, in table order.
+var fixtureProcs = []ProcessID{1, 2, 3}
+
+// fixtureViews writes the 3-process, 3-round fixture by hand: views[k][i]
+// is fixtureProcs[i]'s view of round k+1. Round 2 crashes process 2, so the
+// fixture covers crash cells, silent processes, lost messages, and
+// multi-copy receive sets. Each call returns fresh views.
+func fixtureViews() [][]View {
 	est5 := Message{Kind: KindEstimate, Value: 5}
 	veto := Message{Kind: KindVeto}
 	vote := Message{Kind: KindVote}
-
-	arenaExec = NewExecution(procs, initial)
-	a := NewTraceArena(len(procs), 4)
-	arenaExec.Arena = a
-
-	pairsOf := func(ms *RecvSet) []RecvEntry { return ms.AppendPairs(nil) }
-
-	// Round 1: p1 sends est(5), p2 sends veto, p3 silent and loses veto.
-	row := a.BeginRound(1, 2)
-	a.RecordCell(row, 0, &est5, CDNull, CMActive, false)
-	a.RecordCell(row, 1, &veto, CDNull, CMPassive, false)
-	a.RecordCell(row, 2, nil, CDCollision, CMPassive, false)
-	a.FinishCellRecv(pairsOf(multiset.Of(est5, veto)))
-	a.FinishCellRecv(pairsOf(multiset.Of(est5, veto)))
-	a.FinishCellRecv(pairsOf(multiset.Of(est5)))
-
-	// Round 2: p2 crashes before sending; p1's broadcast reaches p3.
-	row = a.BeginRound(2, 1)
-	a.RecordCell(row, 0, &est5, CDNull, CMActive, false)
-	a.RecordCell(row, 1, nil, CDCollision, CMPassive, true)
-	a.RecordCell(row, 2, nil, CDNull, CMPassive, false)
-	a.FinishCellRecv(pairsOf(multiset.Of(est5)))
-	a.FinishCellRecv(nil)
-	a.FinishCellRecv(pairsOf(multiset.Of(est5)))
-
-	// Round 3: p3 votes, p1 loses it entirely.
-	row = a.BeginRound(3, 1)
-	a.RecordCell(row, 0, nil, CDCollision, CMPassive, false)
-	a.RecordCell(row, 1, nil, CDCollision, CMPassive, true)
-	a.RecordCell(row, 2, &vote, CDNull, CMActive, false)
-	a.FinishCellRecv(nil)
-	a.FinishCellRecv(nil)
-	a.FinishCellRecv(pairsOf(multiset.Of(vote)))
-
-	arenaExec.Decisions[1] = Decision{Value: 5, Round: 3}
-
-	legacyExec = NewExecution(procs, initial)
-	legacyExec.Rounds = []Round{
-		{Number: 1, Views: map[ProcessID]View{
-			1: {Sent: &est5, Recv: multiset.Of(est5, veto), CD: CDNull, CM: CMActive},
-			2: {Sent: &veto, Recv: multiset.Of(est5, veto), CD: CDNull, CM: CMPassive},
-			3: {Recv: multiset.Of(est5), CD: CDCollision, CM: CMPassive},
-		}},
-		{Number: 2, Views: map[ProcessID]View{
-			1: {Sent: &est5, Recv: multiset.Of(est5), CD: CDNull, CM: CMActive},
-			2: {Crashed: true, Recv: multiset.New[Message](), CD: CDCollision, CM: CMPassive},
-			3: {Recv: multiset.Of(est5), CD: CDNull, CM: CMPassive},
-		}},
-		{Number: 3, Views: map[ProcessID]View{
-			1: {Recv: multiset.New[Message](), CD: CDCollision, CM: CMPassive},
-			2: {Crashed: true, Recv: multiset.New[Message](), CD: CDCollision, CM: CMPassive},
-			3: {Sent: &vote, Recv: multiset.Of(vote), CD: CDNull, CM: CMActive},
-		}},
+	return [][]View{
+		// Round 1: p1 sends est(5), p2 and p3 send veto; p1 hears both
+		// vetoes, p2 loses p3's, and p3 hears only its own.
+		{
+			{Sent: &est5, Recv: multiset.Of(est5, veto, veto), CD: CDNull, CM: CMActive},
+			{Sent: &veto, Recv: multiset.Of(est5, veto), CD: CDCollision, CM: CMPassive},
+			{Sent: &veto, Recv: multiset.Of(veto), CD: CDCollision, CM: CMActive},
+		},
+		// Round 2: p2 crashes before sending; p1's broadcast reaches p3.
+		{
+			{Sent: &est5, Recv: multiset.Of(est5), CD: CDNull, CM: CMActive},
+			{Crashed: true, Recv: multiset.New[Message](), CD: CDCollision, CM: CMPassive},
+			{Recv: multiset.Of(est5), CD: CDNull, CM: CMPassive},
+		},
+		// Round 3: p3 votes, p1 loses it entirely.
+		{
+			{Recv: multiset.New[Message](), CD: CDCollision, CM: CMPassive},
+			{Crashed: true, Recv: multiset.New[Message](), CD: CDCollision, CM: CMPassive},
+			{Sent: &vote, Recv: multiset.Of(vote), CD: CDNull, CM: CMActive},
+		},
 	}
-	legacyExec.Decisions[1] = Decision{Value: 5, Round: 3}
-	return arenaExec, legacyExec
 }
 
+// arenaFixture records fixtureViews through the TraceArena writer protocol
+// and returns the execution together with the views it was recorded from,
+// the oracle its accessors must reproduce.
+func arenaFixture() (*Execution, [][]View) {
+	views := fixtureViews()
+	e := record(fixtureProcs, map[ProcessID]Value{1: 5, 2: 7, 3: 9}, views)
+	e.Decisions[1] = Decision{Value: 5, Round: 3}
+	return e, views
+}
+
+// TestArenaViewsMatchLegacy checks every materialized view against the
+// hand-written view it was recorded from.
 func TestArenaViewsMatchLegacy(t *testing.T) {
-	ae, le := arenaFixture(t)
-	if ae.NumRounds() != le.NumRounds() {
-		t.Fatalf("rounds: arena %d, legacy %d", ae.NumRounds(), le.NumRounds())
+	e, want := arenaFixture()
+	if e.NumRounds() != len(want) {
+		t.Fatalf("recorded %d rounds, want %d", e.NumRounds(), len(want))
 	}
-	for r := 1; r <= le.NumRounds(); r++ {
-		if ae.RoundNumber(r) != le.RoundNumber(r) {
-			t.Fatalf("round %d number: arena %d, legacy %d", r, ae.RoundNumber(r), le.RoundNumber(r))
+	for r := 1; r <= len(want); r++ {
+		rd, ok := e.RoundAt(r)
+		if !ok || rd.Number != r || e.RoundNumber(r) != r {
+			t.Fatalf("round %d: RoundAt (%d, %v), RoundNumber %d", r, rd.Number, ok, e.RoundNumber(r))
 		}
-		for _, id := range le.Procs {
-			va, ok1 := ae.View(id, r)
-			vl, ok2 := le.View(id, r)
+		for i, id := range fixtureProcs {
+			v, ok1 := e.View(id, r)
+			rv, ok2 := rd.ViewOf(id)
 			if !ok1 || !ok2 {
-				t.Fatalf("round %d process %d: missing view (arena %v, legacy %v)", r, id, ok1, ok2)
+				t.Fatalf("round %d process %d: missing view (View %v, ViewOf %v)", r, id, ok1, ok2)
 			}
-			if !EqualView(va, vl) {
-				t.Fatalf("round %d process %d: arena view %+v != legacy view %+v", r, id, va, vl)
+			if !EqualView(v, want[r-1][i]) || !EqualView(rv, want[r-1][i]) {
+				t.Fatalf("round %d process %d: recorded view %+v, want %+v", r, id, v, want[r-1][i])
 			}
+		}
+	}
+	for _, probe := range []struct {
+		id ProcessID
+		r  int
+	}{{1, 0}, {1, 4}, {4, 1}} {
+		if _, ok := e.View(probe.id, probe.r); ok {
+			t.Fatalf("View(%d, %d) reported a view outside the recorded execution", probe.id, probe.r)
 		}
 	}
 }
 
 func TestArenaSendersAndTraces(t *testing.T) {
-	ae, le := arenaFixture(t)
-	for r := 1; r <= le.NumRounds(); r++ {
-		ra, _ := ae.RoundAt(r)
-		rl, _ := le.RoundAt(r)
-		if ra.Senders() != rl.Senders() {
-			t.Fatalf("round %d: arena senders %d, legacy %d", r, ra.Senders(), rl.Senders())
+	e, want := arenaFixture()
+	wantTT := make(TransmissionTrace, len(want))
+	wantCD := make(CDTrace, len(want))
+	wantCM := make(CMTrace, len(want))
+	for k, views := range want {
+		senders := sendersOf(views)
+		if rd, _ := e.RoundAt(k + 1); rd.Senders() != senders {
+			t.Fatalf("round %d: senders %d, want %d", k+1, rd.Senders(), senders)
+		}
+		wantTT[k] = RoundTransmission{Senders: senders, Received: make(map[ProcessID]int)}
+		wantCD[k] = make(map[ProcessID]CDAdvice)
+		wantCM[k] = make(map[ProcessID]CMAdvice)
+		for i, id := range fixtureProcs {
+			wantTT[k].Received[id] = views[i].Recv.Len()
+			wantCD[k][id] = views[i].CD
+			wantCM[k][id] = views[i].CM
 		}
 	}
-	if !reflect.DeepEqual(ae.TransmissionTrace(), le.TransmissionTrace()) {
-		t.Fatal("transmission traces differ")
+	if got := e.TransmissionTrace(); !reflect.DeepEqual(got, wantTT) {
+		t.Fatalf("transmission trace %v, want %v", got, wantTT)
 	}
-	if !reflect.DeepEqual(ae.CDTrace(), le.CDTrace()) {
-		t.Fatal("CD traces differ")
+	if got := e.CDTrace(); !reflect.DeepEqual(got, wantCD) {
+		t.Fatalf("CD trace %v, want %v", got, wantCD)
 	}
-	if !reflect.DeepEqual(ae.CMTrace(), le.CMTrace()) {
-		t.Fatal("CM traces differ")
+	if got := e.CMTrace(); !reflect.DeepEqual(got, wantCM) {
+		t.Fatalf("CM trace %v, want %v", got, wantCM)
 	}
-	if !reflect.DeepEqual(ae.BroadcastCountSequence(), le.BroadcastCountSequence()) {
-		t.Fatal("broadcast count sequences differ")
+	// Three broadcasters in round 1, a lone one in rounds 2 and 3.
+	wantBC := []BroadcastCountSymbol{CountTwoPlus, CountOne, CountOne}
+	if got := e.BroadcastCountSequence(); !reflect.DeepEqual(got, wantBC) {
+		t.Fatalf("broadcast count sequence %v, want %v", got, wantBC)
 	}
 }
 
+// TestArenaIndistinguishability checks the arena's column comparison
+// against EqualView over the hand-written views: for every perturbation of
+// the fixture's views, every process, and every prefix, IndistinguishableTo
+// must agree with comparing the views round by round.
 func TestArenaIndistinguishability(t *testing.T) {
-	ae, le := arenaFixture(t)
-	ae2, _ := arenaFixture(t)
-	for _, id := range le.Procs {
-		// Arena ↔ arena takes the column fast path; arena ↔ legacy
-		// materializes. All directions must agree.
-		if !ae.IndistinguishableTo(ae2, id, 3) {
-			t.Fatalf("process %d distinguishes identical arena executions", id)
-		}
-		if !ae.IndistinguishableTo(le, id, 3) || !le.IndistinguishableTo(ae, id, 3) {
-			t.Fatalf("process %d distinguishes arena from equivalent legacy execution", id)
+	e, want := arenaFixture()
+	est5 := Message{Kind: KindEstimate, Value: 5}
+	est6 := Message{Kind: KindEstimate, Value: 6}
+	vote := Message{Kind: KindVote}
+	veto := Message{Kind: KindVeto}
+	perturbations := map[string]func(v [][]View){
+		"identical":           func([][]View) {},
+		"recv copies":         func(v [][]View) { v[2][2].Recv = multiset.Of(vote, vote) },
+		"recv multiplicity":   func(v [][]View) { v[0][0].Recv = multiset.Of(est5, est5, veto) },
+		"recv element":        func(v [][]View) { v[0][2].Recv = multiset.Of(est5) },
+		"recv second element": func(v [][]View) { v[0][0].Recv = multiset.Of(est5, vote, vote) },
+		"recv value":          func(v [][]View) { v[1][2].Recv = multiset.Of(est6) },
+		"recv lost":           func(v [][]View) { v[1][0].Recv = multiset.New[Message]() },
+		"sent value":          func(v [][]View) { v[0][0].Sent = &est6 },
+		"sent silenced":       func(v [][]View) { v[2][2].Sent = nil },
+		"collision advice":    func(v [][]View) { v[1][2].CD = CDCollision },
+		"contention advice":   func(v [][]View) { v[0][1].CM = CMActive },
+		"crash":               func(v [][]View) { v[2][0].Crashed = true },
+		"two rounds differ":   func(v [][]View) { v[0][1].CD = CDCollision; v[2][1].CM = CMActive },
+		"every process sees":  func(v [][]View) { v[1][0].CD, v[1][1].CM, v[1][2].Crashed = CDCollision, CMActive, true },
+	}
+	for name, perturb := range perturbations {
+		other := fixtureViews()
+		perturb(other)
+		oe := record(fixtureProcs, e.Initial, other)
+		for i, id := range fixtureProcs {
+			for r := 1; r <= len(want); r++ {
+				same := true
+				for k := 0; k < r; k++ {
+					same = same && EqualView(want[k][i], other[k][i])
+				}
+				if got := e.IndistinguishableTo(oe, id, r); got != same {
+					t.Fatalf("%s: process %d through round %d: IndistinguishableTo %v, EqualView %v", name, id, r, got, same)
+				}
+				if got := oe.IndistinguishableTo(e, id, r); got != same {
+					t.Fatalf("%s: process %d through round %d: reversed IndistinguishableTo %v, EqualView %v", name, id, r, got, same)
+				}
+			}
 		}
 	}
-	// Perturb one recv multiset in the legacy copy: process 3 must now
-	// distinguish them at round 3, but process 1 (same views) must not.
-	v := le.Rounds[2].Views[3]
-	v.Recv = multiset.Of(Message{Kind: KindVote}, Message{Kind: KindVote})
-	le.Rounds[2].Views[3] = v
-	if ae.IndistinguishableTo(le, 3, 3) {
-		t.Fatal("process 3 fails to distinguish a perturbed receive set")
+	if e.IndistinguishableTo(e, 1, len(want)+1) {
+		t.Fatal("indistinguishability beyond the recorded rounds must be false")
 	}
-	if !ae.IndistinguishableTo(le, 1, 3) {
-		t.Fatal("process 1 wrongly distinguishes executions that differ only at process 3")
+	if e.IndistinguishableTo(e, 4, 1) {
+		t.Fatal("a process outside the table must not be indistinguishable")
 	}
 }
 
 func TestArenaValidateAndECF(t *testing.T) {
-	ae, le := arenaFixture(t)
-	if err := ae.Validate(); err != nil {
+	e, _ := arenaFixture()
+	if err := e.Validate(); err != nil {
 		t.Fatalf("arena execution invalid: %v", err)
-	}
-	if err := le.Validate(); err != nil {
-		t.Fatalf("legacy execution invalid: %v", err)
 	}
 	// Rounds 2 and 3 have lone broadcasters; round 3's vote is lost at p1,
 	// so ECF can hold from round 4 (vacuously) but not from round 3 or 1.
-	for _, e := range []*Execution{ae, le} {
-		if !e.SatisfiesECFFrom(4) {
-			t.Fatal("ECF must hold vacuously beyond the last round")
-		}
-		if e.SatisfiesECFFrom(3) {
-			t.Fatal("ECF from 3 must fail: p1 lost the lone vote")
-		}
-		if e.SatisfiesECFFrom(2) {
-			t.Fatal("ECF from 2 must fail: round 3 still loses the lone vote")
-		}
+	if !e.SatisfiesECFFrom(4) {
+		t.Fatal("ECF must hold vacuously beyond the last round")
+	}
+	if e.SatisfiesECFFrom(3) {
+		t.Fatal("ECF from 3 must fail: p1 lost the lone vote")
+	}
+	if e.SatisfiesECFFrom(2) {
+		t.Fatal("ECF from 2 must fail: round 3 still loses the lone vote")
 	}
 }
 
@@ -213,55 +233,47 @@ func TestArenaValidateCatchesViolations(t *testing.T) {
 	}
 }
 
-func TestArenaExportMatchesLegacy(t *testing.T) {
-	ae, le := arenaFixture(t)
-	var ab, lb bytes.Buffer
-	if err := ae.WriteJSON(&ab); err != nil {
-		t.Fatal(err)
-	}
-	if err := le.WriteJSON(&lb); err != nil {
-		t.Fatal(err)
-	}
-	if ab.String() != lb.String() {
-		t.Fatalf("arena export differs from legacy export:\narena:\n%s\nlegacy:\n%s", ab.String(), lb.String())
-	}
-	if ae.String() != le.String() {
-		t.Fatalf("String() differs:\narena:\n%s\nlegacy:\n%s", ae.String(), le.String())
-	}
-}
+// fixtureJSON is the fixture's export: processes and rounds ascending,
+// received messages sorted, crashed cells flagged, and no receive list for
+// a process that received nothing.
+const fixtureJSON = `{"processes":[1,2,3],"initial":{"1":5,"2":7,"3":9},"rounds":[` +
+	`{"round":1,"views":[` +
+	`{"process":1,"sent":{"kind":"est","value":5},"received":[{"kind":"est","value":5},{"kind":"veto"},{"kind":"veto"}],"cd":"null","cm":"active"},` +
+	`{"process":2,"sent":{"kind":"veto"},"received":[{"kind":"est","value":5},{"kind":"veto"}],"cd":"collision","cm":"passive"},` +
+	`{"process":3,"sent":{"kind":"veto"},"received":[{"kind":"veto"}],"cd":"collision","cm":"active"}]},` +
+	`{"round":2,"views":[` +
+	`{"process":1,"sent":{"kind":"est","value":5},"received":[{"kind":"est","value":5}],"cd":"null","cm":"active"},` +
+	`{"process":2,"cd":"collision","cm":"passive","crashed":true},` +
+	`{"process":3,"received":[{"kind":"est","value":5}],"cd":"null","cm":"passive"}]},` +
+	`{"round":3,"views":[` +
+	`{"process":1,"cd":"collision","cm":"passive"},` +
+	`{"process":2,"cd":"collision","cm":"passive","crashed":true},` +
+	`{"process":3,"sent":{"kind":"vote"},"received":[{"kind":"vote"}],"cd":"null","cm":"active"}]}],` +
+	`"decisions":[{"process":1,"value":5,"round":3}]}`
 
-func TestMaterializeRoundsEqualsArena(t *testing.T) {
-	ae, le := arenaFixture(t)
-	mat := ae.MaterializeRounds()
-	if len(mat) != ae.NumRounds() {
-		t.Fatalf("materialized %d rounds, want %d", len(mat), ae.NumRounds())
-	}
-	// The materialized legacy shape must answer every accessor like the
-	// arena did — including after the escape hatch is installed as Rounds.
-	me := NewExecution(ae.Procs, ae.Initial)
-	me.Rounds = mat
-	for r := 1; r <= ae.NumRounds(); r++ {
-		for _, id := range ae.Procs {
-			va, _ := ae.View(id, r)
-			vm, ok := me.View(id, r)
-			if !ok || !EqualView(va, vm) {
-				t.Fatalf("round %d process %d: materialized view differs", r, id)
-			}
-		}
-	}
-	if err := me.Validate(); err != nil {
-		t.Fatalf("materialized execution invalid: %v", err)
-	}
-	var mb, lb bytes.Buffer
-	me.Decisions[1] = Decision{Value: 5, Round: 3}
-	if err := me.WriteJSON(&mb); err != nil {
+// fixtureString is the fixture's String rendering.
+const fixtureString = `r1    p1: tx=est(5) rx=3 cd=null cm=active  p2: tx=veto rx=2 cd=± cm=passive  p3: tx=veto rx=1 cd=± cm=active
+r2    p1: tx=est(5) rx=1 cd=null cm=active  p2: CRASHED  p3: tx=- rx=1 cd=null cm=passive
+r3    p1: tx=- rx=0 cd=± cm=passive  p2: CRASHED  p3: tx=vote rx=1 cd=null cm=active
+p1 decided 5 at round 3
+`
+
+// TestArenaExportMatchesLegacy pins the fixture's JSON export and String
+// rendering to the text its hand-written views describe.
+func TestArenaExportMatchesLegacy(t *testing.T) {
+	e, _ := arenaFixture()
+	var buf, compact bytes.Buffer
+	if err := e.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := le.WriteJSON(&lb); err != nil {
+	if err := json.Compact(&compact, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if mb.String() != lb.String() {
-		t.Fatal("materialized export differs from legacy export")
+	if compact.String() != fixtureJSON {
+		t.Fatalf("export differs:\ngot  %s\nwant %s", compact.String(), fixtureJSON)
+	}
+	if e.String() != fixtureString {
+		t.Fatalf("String() differs:\ngot:\n%s\nwant:\n%s", e.String(), fixtureString)
 	}
 }
 

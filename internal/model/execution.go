@@ -43,49 +43,29 @@ func EqualView(a, b View) bool {
 	}
 }
 
-// Round records one synchronized round of an execution. Engine-produced
-// rounds are lightweight views over the execution's TraceArena (obtained via
-// Execution.RoundAt); hand-built rounds populate the legacy Views map
-// directly. Both shapes answer every accessor identically.
+// Round is one synchronized round of an execution: a lightweight view over
+// one row of the execution's TraceArena, obtained via Execution.RoundAt.
 type Round struct {
 	Number int
-	Views  map[ProcessID]View
 
-	arena *TraceArena // non-nil for arena-backed rounds
+	arena *TraceArena
 	row   int
 	procs []ProcessID // the execution's sorted process table
 }
 
 // Senders returns the number of processes that broadcast in this round (the
-// c component of the transmission trace, Definition 4). Arena-backed rounds
-// answer in O(1) from the broadcaster count the engine recorded once per
-// round; only legacy hand-built map rounds still derive it by summation
-// (a commutative count, so map order cannot affect it).
-func (r Round) Senders() int {
-	if r.arena != nil {
-		return r.arena.Senders(r.row)
-	}
-	c := 0
-	for _, v := range r.Views {
-		if v.Sent != nil {
-			c++
-		}
-	}
-	return c
-}
+// c component of the transmission trace, Definition 4), in O(1) from the
+// broadcaster count the engine recorded once per round.
+func (r Round) Senders() int { return r.arena.Senders(r.row) }
 
-// ViewOf returns process id's view of this round, materializing it from the
-// arena for arena-backed rounds.
+// ViewOf returns process id's view of this round, materialized from the
+// arena.
 func (r Round) ViewOf(id ProcessID) (View, bool) {
-	if r.arena != nil {
-		i, ok := procIndex(r.procs, id)
-		if !ok {
-			return View{}, false
-		}
-		return r.arena.ViewAt(r.row, i), true
+	i, ok := procIndex(r.procs, id)
+	if !ok {
+		return View{}, false
 	}
-	v, ok := r.Views[id]
-	return v, ok
+	return r.arena.ViewAt(r.row, i), true
 }
 
 // procIndex locates id in a sorted process table.
@@ -109,24 +89,19 @@ type Decision struct {
 }
 
 // Execution is a finite prefix of a formal execution (Definition 11): the
-// per-round views of every process, plus decision bookkeeping maintained by
-// the engine.
+// per-round views of every process, recorded in the columnar Arena, plus
+// decision bookkeeping maintained by the engine. Every view accessor reads
+// the arena's columns; tests and proof constructions build executions
+// through the same writer protocol the engine records with.
 //
-// Engine-produced full traces live in the columnar Arena; Rounds stays
-// empty and every view accessor reads the arena. Hand-built executions
-// (tests, proof constructions) may instead append legacy map-backed Rounds;
-// when Rounds is non-empty it takes precedence. MaterializeRounds converts
-// an arena trace into the legacy shape for external consumers.
-//
-// Under the engine's decisions-only trace mode both are empty: the
-// execution then carries only Procs, Initial, and Decisions. Decision-
-// derived observations (DecidedValues, LastDecisionRound) work in every
-// shape; view-derived ones (View, TransmissionTrace, CDTrace, CMTrace,
-// Validate, IndistinguishableTo) require a full trace — check HasViews
-// before relying on them.
+// Under the engine's decisions-only trace mode Arena is nil: the execution
+// then carries only Procs, Initial, and Decisions. Decision-derived
+// observations (DecidedValues, LastDecisionRound) work either way;
+// view-derived ones (View, TransmissionTrace, CDTrace, CMTrace, Validate,
+// IndistinguishableTo) require a full trace — check HasViews before relying
+// on them.
 type Execution struct {
 	Procs     []ProcessID
-	Rounds    []Round
 	Arena     *TraceArena
 	Decisions map[ProcessID]Decision
 	Initial   map[ProcessID]Value // initial consensus values, for validity checks
@@ -137,19 +112,10 @@ type Execution struct {
 // for zero-round runs).
 func (e *Execution) HasViews() bool { return e.NumRounds() > 0 }
 
-// arenaBacked reports whether view accessors should read the arena.
-func (e *Execution) arenaBacked() bool {
-	return len(e.Rounds) == 0 && e.Arena != nil
-}
-
-// RoundAt returns the r-th recorded round (1-based): the legacy Round for
-// hand-built executions, a lightweight arena view otherwise.
+// RoundAt returns a lightweight view of the r-th recorded round (1-based).
 func (e *Execution) RoundAt(r int) (Round, bool) {
 	if r < 1 || r > e.NumRounds() {
 		return Round{}, false
-	}
-	if !e.arenaBacked() {
-		return e.Rounds[r-1], true
 	}
 	return Round{
 		Number: e.Arena.Number(r - 1),
@@ -160,33 +126,7 @@ func (e *Execution) RoundAt(r int) (Round, bool) {
 }
 
 // RoundNumber returns the round number of the r-th recorded round.
-func (e *Execution) RoundNumber(r int) int {
-	if e.arenaBacked() {
-		return e.Arena.Number(r - 1)
-	}
-	return e.Rounds[r-1].Number
-}
-
-// MaterializeRounds converts the recorded trace into the legacy
-// []Round/map[ProcessID]View shape: the escape hatch for external consumers
-// that walk Rounds directly. For arena-backed executions the result is a
-// deep snapshot (every View's Sent pointer and Recv multiset freshly
-// allocated); for legacy executions the returned rounds share their views'
-// contents with the originals. The execution itself is not modified.
-func (e *Execution) MaterializeRounds() []Round {
-	out := make([]Round, 0, e.NumRounds())
-	for r := 1; r <= e.NumRounds(); r++ {
-		rd, _ := e.RoundAt(r)
-		views := make(map[ProcessID]View, len(e.Procs))
-		for _, id := range e.Procs {
-			if v, ok := rd.ViewOf(id); ok {
-				views[id] = v
-			}
-		}
-		out = append(out, Round{Number: rd.Number, Views: views})
-	}
-	return out
-}
+func (e *Execution) RoundNumber(r int) int { return e.Arena.Number(r - 1) }
 
 // Release hands the execution's trace arena back to the reuse pool and
 // detaches it, closing the last per-run allocation of trace-heavy pipelines
@@ -197,8 +137,8 @@ func (e *Execution) MaterializeRounds() []Round {
 // After Release the execution answers only decision-derived observations
 // (HasViews reports false); every view, Round, or RecvPairs slice previously
 // derived from the arena is invalid, because the next run writes over it.
-// Release is a no-op for executions without an arena (decisions-only runs,
-// hand-built legacy executions).
+// Release is a no-op for executions without an arena (decisions-only
+// runs).
 func (e *Execution) Release() {
 	if e.Arena == nil {
 		return
@@ -226,18 +166,15 @@ func NewExecution(procs []ProcessID, initial map[ProcessID]Value) *Execution {
 
 // NumRounds returns the number of recorded rounds.
 func (e *Execution) NumRounds() int {
-	if len(e.Rounds) > 0 {
-		return len(e.Rounds)
+	if e.Arena == nil {
+		return 0
 	}
-	if e.Arena != nil {
-		return e.Arena.NumRounds()
-	}
-	return 0
+	return e.Arena.NumRounds()
 }
 
 // View returns process id's view of round r (1-based). ok is false if the
-// round is out of range or the process unknown. Arena-backed executions
-// materialize the view (a fresh snapshot) per call.
+// round is out of range or the process unknown. The view is a fresh
+// snapshot materialized from the arena per call.
 func (e *Execution) View(id ProcessID, r int) (View, bool) {
 	rd, ok := e.RoundAt(r)
 	if !ok {
@@ -248,29 +185,14 @@ func (e *Execution) View(id ProcessID, r int) (View, bool) {
 
 // TransmissionTrace derives the unique transmission trace (Definition 4) of
 // the recorded prefix: per round, the broadcaster count c and the number of
-// messages each process received. Arena-backed executions read the dense
-// columns directly, never materializing a view.
+// messages each process received, read straight off the dense columns.
 func (e *Execution) TransmissionTrace() TransmissionTrace {
 	n := e.NumRounds()
 	tt := make(TransmissionTrace, 0, n)
-	if e.arenaBacked() {
-		a := e.Arena
-		for k := 0; k < n; k++ {
-			rt := RoundTransmission{Senders: a.Senders(k), Received: make(map[ProcessID]int, len(e.Procs))}
-			for i, id := range e.Procs {
-				rt.Received[id] = a.RecvLen(k, i)
-			}
-			tt = append(tt, rt)
-		}
-		return tt
-	}
-	for _, rd := range e.Rounds {
-		rt := RoundTransmission{Received: make(map[ProcessID]int, len(rd.Views))}
-		for id, v := range rd.Views {
-			if v.Sent != nil {
-				rt.Senders++
-			}
-			rt.Received[id] = v.Recv.Len()
+	for k := 0; k < n; k++ {
+		rt := RoundTransmission{Senders: e.Arena.Senders(k), Received: make(map[ProcessID]int, len(e.Procs))}
+		for i, id := range e.Procs {
+			rt.Received[id] = e.Arena.RecvLen(k, i)
 		}
 		tt = append(tt, rt)
 	}
@@ -281,20 +203,10 @@ func (e *Execution) TransmissionTrace() TransmissionTrace {
 func (e *Execution) CDTrace() CDTrace {
 	n := e.NumRounds()
 	out := make(CDTrace, 0, n)
-	if e.arenaBacked() {
-		for k := 0; k < n; k++ {
-			m := make(map[ProcessID]CDAdvice, len(e.Procs))
-			for i, id := range e.Procs {
-				m[id] = e.Arena.CD(k, i)
-			}
-			out = append(out, m)
-		}
-		return out
-	}
-	for _, rd := range e.Rounds {
-		m := make(map[ProcessID]CDAdvice, len(rd.Views))
-		for id, v := range rd.Views {
-			m[id] = v.CD
+	for k := 0; k < n; k++ {
+		m := make(map[ProcessID]CDAdvice, len(e.Procs))
+		for i, id := range e.Procs {
+			m[id] = e.Arena.CD(k, i)
 		}
 		out = append(out, m)
 	}
@@ -305,20 +217,10 @@ func (e *Execution) CDTrace() CDTrace {
 func (e *Execution) CMTrace() CMTrace {
 	n := e.NumRounds()
 	out := make(CMTrace, 0, n)
-	if e.arenaBacked() {
-		for k := 0; k < n; k++ {
-			m := make(map[ProcessID]CMAdvice, len(e.Procs))
-			for i, id := range e.Procs {
-				m[id] = e.Arena.CM(k, i)
-			}
-			out = append(out, m)
-		}
-		return out
-	}
-	for _, rd := range e.Rounds {
-		m := make(map[ProcessID]CMAdvice, len(rd.Views))
-		for id, v := range rd.Views {
-			m[id] = v.CM
+	for k := 0; k < n; k++ {
+		m := make(map[ProcessID]CMAdvice, len(e.Procs))
+		for i, id := range e.Procs {
+			m[id] = e.Arena.CM(k, i)
 		}
 		out = append(out, m)
 	}
@@ -328,29 +230,19 @@ func (e *Execution) CMTrace() CMTrace {
 // IndistinguishableTo reports whether e and other are indistinguishable with
 // respect to process id through round r (Definition 12): same views in both
 // executions for rounds 1..r. Both executions must contain the process and
-// at least r rounds. When both executions are arena-backed the comparison
-// runs column-to-column without materializing any view.
+// at least r rounds. The comparison runs column to column without
+// materializing any view.
 func (e *Execution) IndistinguishableTo(other *Execution, id ProcessID, r int) bool {
 	if r > e.NumRounds() || r > other.NumRounds() {
 		return false
 	}
-	if e.arenaBacked() && other.arenaBacked() {
-		i, ok1 := procIndex(e.Procs, id)
-		j, ok2 := procIndex(other.Procs, id)
-		if !ok1 || !ok2 {
-			return false
-		}
-		for k := 0; k < r; k++ {
-			if !e.Arena.cellEqual(k, i, other.Arena, k, j) {
-				return false
-			}
-		}
-		return true
+	i, ok1 := procIndex(e.Procs, id)
+	j, ok2 := procIndex(other.Procs, id)
+	if !ok1 || !ok2 {
+		return false
 	}
-	for k := 1; k <= r; k++ {
-		va, ok1 := e.View(id, k)
-		vb, ok2 := other.View(id, k)
-		if !ok1 || !ok2 || !EqualView(va, vb) {
+	for k := 0; k < r; k++ {
+		if !e.Arena.cellEqual(k, i, other.Arena, k, j) {
 			return false
 		}
 	}
@@ -458,20 +350,14 @@ func (s BroadcastCountSymbol) String() string {
 
 // BroadcastCountAt returns the broadcast count symbol of round r (1-based):
 // one symbol of the basic broadcast count sequence of Definition 22,
-// answered from the dense senders column for arena-backed executions. ok is
-// false when the round is out of the recorded range (including
-// decisions-only executions, which record no rounds at all).
+// answered from the dense senders column. ok is false when the round is out
+// of the recorded range (including decisions-only executions, which record
+// no rounds at all).
 func (e *Execution) BroadcastCountAt(r int) (BroadcastCountSymbol, bool) {
 	if r < 1 || r > e.NumRounds() {
 		return CountZero, false
 	}
-	var c int
-	if e.arenaBacked() {
-		c = e.Arena.Senders(r - 1)
-	} else {
-		c = e.Rounds[r-1].Senders()
-	}
-	switch {
+	switch c := e.Arena.Senders(r - 1); {
 	case c == 0:
 		return CountZero, true
 	case c == 1:

@@ -50,11 +50,7 @@ func TestWriteJSONDeterministic(t *testing.T) {
 }
 
 func TestWriteJSONCrashedView(t *testing.T) {
-	e := buildExec(1, 1)
-	v := e.Rounds[0].Views[2]
-	v.Crashed = true
-	v.Sent = nil
-	e.Rounds[0].Views[2] = v
+	e := buildExec(1, 1, func(v [][]View) { v[0][1].Crashed = true })
 	var buf bytes.Buffer
 	if err := e.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

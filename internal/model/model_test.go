@@ -110,21 +110,57 @@ func TestEqualViewEmptyRecvForms(t *testing.T) {
 	}
 }
 
-// buildExec constructs a 2-process execution where process 1 broadcasts est(v1)
-// in round 1 and both receive it.
-func buildExec(v1 Value, rounds int) *Execution {
-	e := NewExecution([]ProcessID{1, 2}, map[ProcessID]Value{1: v1, 2: v1 + 1})
-	for r := 1; r <= rounds; r++ {
-		msg := est(v1)
-		e.Rounds = append(e.Rounds, Round{
-			Number: r,
-			Views: map[ProcessID]View{
-				1: {Sent: msg, Recv: recvOf(*msg), CD: CDNull, CM: CMActive},
-				2: {Recv: recvOf(*msg), CD: CDNull, CM: CMPassive},
-			},
-		})
+// record builds an execution over the sorted procs through the TraceArena
+// writer protocol, exactly as the engine records one: rounds[k][i] is
+// procs[i]'s view of round k+1. The hand-written views are the oracle every
+// accessor is checked against.
+func record(procs []ProcessID, initial map[ProcessID]Value, rounds [][]View) *Execution {
+	e := NewExecution(procs, initial)
+	a := NewTraceArena(len(procs), len(rounds))
+	e.Arena = a
+	for k, views := range rounds {
+		row := a.BeginRound(k+1, sendersOf(views))
+		for i, v := range views {
+			a.RecordCell(row, i, v.Sent, v.CD, v.CM, v.Crashed)
+		}
+		for _, v := range views {
+			var pairs []RecvEntry
+			if v.Recv != nil {
+				pairs = v.Recv.AppendPairs(nil)
+			}
+			a.FinishCellRecv(pairs)
+		}
 	}
 	return e
+}
+
+// sendersOf counts a round's broadcasters from its views.
+func sendersOf(views []View) int {
+	c := 0
+	for _, v := range views {
+		if v.Sent != nil {
+			c++
+		}
+	}
+	return c
+}
+
+// buildExec records a 2-process execution where process 1 broadcasts
+// est(v1) every round and both receive it. Each edit rewrites the views
+// before they are recorded.
+func buildExec(v1 Value, rounds int, edits ...func(views [][]View)) *Execution {
+	views := make([][]View, rounds)
+	for r := range views {
+		msg := est(v1)
+		views[r] = []View{
+			{Sent: msg, Recv: recvOf(*msg), CD: CDNull, CM: CMActive},
+			{Recv: recvOf(*msg), CD: CDNull, CM: CMPassive},
+		}
+	}
+	for _, edit := range edits {
+		edit(views)
+	}
+	return record([]ProcessID{1, 2}, map[ProcessID]Value{1: v1, 2: v1 + 1}, views)
 }
 
 func TestExecutionTraces(t *testing.T) {
@@ -152,16 +188,12 @@ func TestExecutionTraces(t *testing.T) {
 }
 
 func TestBroadcastCountSequence(t *testing.T) {
-	e := NewExecution([]ProcessID{1, 2}, nil)
 	m := est(1)
-	e.Rounds = append(e.Rounds,
-		Round{Number: 1, Views: map[ProcessID]View{
-			1: {Recv: multiset.New[Message]()}, 2: {Recv: multiset.New[Message]()}}},
-		Round{Number: 2, Views: map[ProcessID]View{
-			1: {Sent: m, Recv: recvOf(*m)}, 2: {Recv: multiset.New[Message]()}}},
-		Round{Number: 3, Views: map[ProcessID]View{
-			1: {Sent: m, Recv: recvOf(*m)}, 2: {Sent: m, Recv: recvOf(*m)}}},
-	)
+	e := record([]ProcessID{1, 2}, nil, [][]View{
+		{{Recv: multiset.New[Message]()}, {Recv: multiset.New[Message]()}},
+		{{Sent: m, Recv: recvOf(*m)}, {Recv: multiset.New[Message]()}},
+		{{Sent: m, Recv: recvOf(*m)}, {Sent: m, Recv: recvOf(*m)}},
+	})
 	got := e.BroadcastCountSequence()
 	want := []BroadcastCountSymbol{CountZero, CountOne, CountTwoPlus}
 	for i := range want {
@@ -199,61 +231,45 @@ func TestValidateAcceptsLegalExecution(t *testing.T) {
 }
 
 func TestValidateRejectsIntegrityViolation(t *testing.T) {
-	e := buildExec(5, 1)
 	// Process 2 receives a message nobody sent.
-	ghost := est(99)
-	v := e.Rounds[0].Views[2]
-	v.Recv = recvOf(*ghost)
-	e.Rounds[0].Views[2] = v
-	err := e.Validate()
-	if err == nil {
-		t.Fatal("integrity violation accepted")
-	}
-	var verr *ValidationError
-	if !asValidation(err, &verr) || verr.Constraint != "integrity" {
-		t.Fatalf("wrong error: %v", err)
-	}
+	e := buildExec(5, 1, func(v [][]View) { v[0][1].Recv = recvOf(*est(99)) })
+	requireViolation(t, e, 1, 2, "integrity")
 }
 
 func TestValidateRejectsSelfDeliveryViolation(t *testing.T) {
-	e := buildExec(5, 1)
-	v := e.Rounds[0].Views[1]
-	v.Recv = multiset.New[Message]() // broadcaster lost its own message
-	e.Rounds[0].Views[1] = v
-	err := e.Validate()
-	if err == nil {
-		t.Fatal("self-delivery violation accepted")
-	}
-	var verr *ValidationError
-	if !asValidation(err, &verr) || verr.Constraint != "self-delivery" {
-		t.Fatalf("wrong error: %v", err)
-	}
+	// The broadcaster lost its own message.
+	e := buildExec(5, 1, func(v [][]View) { v[0][0].Recv = multiset.New[Message]() })
+	requireViolation(t, e, 1, 1, "self-delivery")
 }
 
 func TestValidateRejectsResurrection(t *testing.T) {
-	e := buildExec(5, 2)
-	v := e.Rounds[0].Views[2]
-	v.Crashed = true
-	v.Sent = nil
-	e.Rounds[0].Views[2] = v
-	err := e.Validate()
-	if err == nil {
-		t.Fatal("resurrected process accepted")
-	}
-	var verr *ValidationError
-	if !asValidation(err, &verr) || verr.Constraint != "fail-state" {
-		t.Fatalf("wrong error: %v", err)
+	// Process 2 is crashed in round 1 and alive again in round 2.
+	e := buildExec(5, 2, func(v [][]View) { v[0][1].Crashed = true })
+	verr := requireViolation(t, e, 2, 2, "fail-state")
+	if verr.Detail != "crashed process resurrected" {
+		t.Fatalf("wrong fail-state detail: %v", verr)
 	}
 }
 
 func TestValidateRejectsCrashedBroadcaster(t *testing.T) {
-	e := buildExec(5, 1)
-	v := e.Rounds[0].Views[1]
-	v.Crashed = true // still has Sent set
-	e.Rounds[0].Views[1] = v
-	if err := e.Validate(); err == nil {
-		t.Fatal("crashed broadcaster accepted")
+	// Process 1 is crashed but still broadcasts.
+	e := buildExec(5, 1, func(v [][]View) { v[0][0].Crashed = true })
+	verr := requireViolation(t, e, 1, 1, "fail-state")
+	if verr.Detail != "crashed process broadcast" {
+		t.Fatalf("wrong fail-state detail: %v", verr)
 	}
+}
+
+// requireViolation asserts that e fails validation at (round, process)
+// with the given constraint.
+func requireViolation(t *testing.T, e *Execution, round int, process ProcessID, constraint string) *ValidationError {
+	t.Helper()
+	err := e.Validate()
+	verr, ok := err.(*ValidationError)
+	if !ok || verr.Round != round || verr.Process != process || verr.Constraint != constraint {
+		t.Fatalf("got %v, want a %s violation at round %d, process %d", err, constraint, round, process)
+	}
+	return verr
 }
 
 func TestSatisfiesECF(t *testing.T) {
@@ -262,9 +278,7 @@ func TestSatisfiesECF(t *testing.T) {
 		t.Fatal("lossless single-sender execution must satisfy ECF from round 1")
 	}
 	// Make round 2 a lone broadcast that process 2 loses.
-	v := e.Rounds[1].Views[2]
-	v.Recv = multiset.New[Message]()
-	e.Rounds[1].Views[2] = v
+	e = buildExec(5, 3, func(v [][]View) { v[1][1].Recv = multiset.New[Message]() })
 	if e.SatisfiesECFFrom(1) {
 		t.Fatal("lost lone broadcast must violate ECF from round 1")
 	}
@@ -293,16 +307,6 @@ func TestExecutionString(t *testing.T) {
 	if s == "" {
 		t.Fatal("String must render something")
 	}
-}
-
-// asValidation is a tiny errors.As stand-in to avoid importing errors for a
-// concrete type we control.
-func asValidation(err error, out **ValidationError) bool {
-	v, ok := err.(*ValidationError)
-	if ok {
-		*out = v
-	}
-	return ok
 }
 
 // TestDenseScheduleMatchesSchedule cross-checks the compiled dense schedule

@@ -6,17 +6,15 @@
 // Rounds are numbered starting at 1, matching the paper. Trace slices are
 // indexed by round-1.
 //
-// Executions come in two storage shapes with identical observable behavior.
-// Engine-produced full traces live in a columnar TraceArena (dense
+// An execution's per-round views live in a columnar TraceArena (dense
 // append-only columns, zero steady-state allocation while recording; see
-// the TraceArena type for the ownership and reuse rules) and materialize
-// Views lazily through the accessors (Execution.View, Round.ViewOf,
-// Execution.RoundAt). Hand-built executions — tests and proof
-// constructions — populate the legacy Execution.Rounds/map[ProcessID]View
-// shape directly. Every derived observation (Senders, traces, Validate,
-// EqualView, indistinguishability, export) answers identically over both;
-// Execution.MaterializeRounds converts an arena trace to the legacy shape
-// for consumers that walk Rounds themselves.
+// the TraceArena type for the ownership and reuse rules), and Views
+// materialize lazily through the accessors (Execution.View, Round.ViewOf,
+// Execution.RoundAt). The engine records through the arena's writer
+// protocol (BeginRound, RecordCell, FinishCellRecv); tests and proof
+// constructions that build an execution by hand use the same protocol, so
+// every derived observation (Senders, traces, Validate,
+// indistinguishability, export) reads the same columns.
 package model
 
 import (

@@ -34,30 +34,23 @@ func (e *ValidationError) Error() string {
 // depend on the environment's detector class and manager property and are
 // checked by detector.CheckTraces and cm.CheckTrace respectively.
 //
-// Per-process state is tracked densely against the sorted process table, and
-// arena-backed executions are validated straight off the columns — no view
-// is materialized unless a violation needs rendering.
+// Per-process state is tracked densely against the sorted process table,
+// and every check reads the arena's columns: no view is materialized unless
+// a violation needs rendering.
 func (e *Execution) Validate() error {
 	crashed := make([]bool, len(e.Procs))
 	sent := multiset.New[Message]() // per-round broadcast union, reused across rounds
-	for r := 1; r <= e.NumRounds(); r++ {
-		if e.arenaBacked() {
-			if err := e.validateArenaRound(r, crashed, sent); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := e.validateLegacyRound(r, crashed, sent); err != nil {
+	for k := 0; k < e.NumRounds(); k++ {
+		if err := e.validateRound(k, crashed, sent); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// validateArenaRound checks one arena-backed round against the dense
-// columns.
-func (e *Execution) validateArenaRound(r int, crashed []bool, sent *RecvSet) error {
-	a, k := e.Arena, r-1
+// validateRound checks row k of the arena.
+func (e *Execution) validateRound(k int, crashed []bool, sent *RecvSet) error {
+	a := e.Arena
 	number := a.Number(k)
 	sent.Reset()
 	for i := range e.Procs {
@@ -92,42 +85,6 @@ func (e *Execution) validateArenaRound(r int, crashed []bool, sent *RecvSet) err
 	return nil
 }
 
-// validateLegacyRound checks one hand-built map-backed round.
-func (e *Execution) validateLegacyRound(r int, crashed []bool, sent *RecvSet) error {
-	rd := e.Rounds[r-1]
-	sent.Reset()
-	for _, v := range rd.Views {
-		if v.Sent != nil {
-			sent.Add(*v.Sent)
-		}
-	}
-	for i, id := range e.Procs {
-		v, ok := rd.Views[id]
-		if !ok {
-			return &ValidationError{rd.Number, id, "coverage", "no view recorded"}
-		}
-		if crashed[i] && !v.Crashed {
-			return &ValidationError{rd.Number, id, "fail-state", "crashed process resurrected"}
-		}
-		if v.Crashed {
-			crashed[i] = true
-			if v.Sent != nil {
-				return &ValidationError{rd.Number, id, "fail-state", "crashed process broadcast"}
-			}
-			continue
-		}
-		if !v.Recv.SubsetOf(sent) {
-			return &ValidationError{rd.Number, id, "integrity",
-				fmt.Sprintf("received %v not a sub-multiset of sent %v", v.Recv, sent)}
-		}
-		if v.Sent != nil && !v.Recv.Contains(*v.Sent) {
-			return &ValidationError{rd.Number, id, "self-delivery",
-				fmt.Sprintf("broadcaster of %v did not receive own message", *v.Sent)}
-		}
-	}
-	return nil
-}
-
 // pairsContain reports whether a receive segment holds at least one copy of
 // m.
 func pairsContain(pairs []RecvEntry, m Message) bool {
@@ -144,44 +101,22 @@ func pairsContain(pairs []RecvEntry, m Message) bool {
 // in every round r >= rcf with exactly one broadcaster, every non-crashed
 // process received that message.
 func (e *Execution) SatisfiesECFFrom(rcf int) bool {
-	if e.arenaBacked() {
-		a := e.Arena
-		for k := 0; k < a.NumRounds(); k++ {
-			if a.Number(k) < rcf || a.Senders(k) != 1 {
-				continue
-			}
-			var msg Message
-			for i := range e.Procs {
-				if m, ok := a.Sent(k, i); ok {
-					msg = m
-				}
-			}
-			for i := range e.Procs {
-				if a.Crashed(k, i) {
-					continue
-				}
-				if !pairsContain(a.RecvPairs(k, i), msg) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for _, rd := range e.Rounds {
-		if rd.Number < rcf || rd.Senders() != 1 {
+	a := e.Arena
+	for k := 0; k < e.NumRounds(); k++ {
+		if a.Number(k) < rcf || a.Senders(k) != 1 {
 			continue
 		}
 		var msg Message
-		for _, v := range rd.Views {
-			if v.Sent != nil {
-				msg = *v.Sent
+		for i := range e.Procs {
+			if m, ok := a.Sent(k, i); ok {
+				msg = m
 			}
 		}
-		for _, v := range rd.Views {
-			if v.Crashed {
+		for i := range e.Procs {
+			if a.Crashed(k, i) {
 				continue
 			}
-			if !v.Recv.Contains(msg) {
+			if !pairsContain(a.RecvPairs(k, i), msg) {
 				return false
 			}
 		}

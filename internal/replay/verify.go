@@ -14,8 +14,8 @@ import (
 )
 
 // Selector chooses which recorded trials deserve forensic re-execution.
-// The zero value selects nothing; Anomalies is the everyday audit
-// configuration.
+// The zero value selects nothing; ParseSelector builds one from the
+// -flag spec.
 type Selector struct {
 	// Undecided flags trials in which not every correct process decided.
 	Undecided bool
@@ -66,12 +66,6 @@ func ParseSelector(spec string) (Selector, error) {
 		}
 	}
 	return sel, nil
-}
-
-// Anomalies selects undecided trials, safety violations, and the single
-// slowest trial.
-func Anomalies() Selector {
-	return Selector{Undecided: true, Violations: true, TopSlowest: 1}
 }
 
 // Flagged is one record selected for re-execution, with every reason that

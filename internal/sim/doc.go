@@ -17,13 +17,15 @@
 //     the experiment tables install bespoke automata and adversaries; they
 //     are factories invoked inside the running trial, never shared values,
 //     so trials stay independent.
-//   - [Sweep] builds grids: a base Scenario, axes of mutations (the
-//     cross-product is taken in axis order, later axes fastest), and a
-//     trial count. Expansion assigns every (grid point, trial) its own seed
-//     via [TrialSeed] — a splitmix64 mix of the sweep seed, the scenario
-//     index, and the trial index — unless the grid point pinned one
-//     (Scenario.PinSeed). No two trials share a generator, which is what
-//     makes the runner free to execute them in any order.
+//   - A sweep is a slice of scenarios built by plain loops: the
+//     experiment grids in internal/experiments, or the trial sweeps of the
+//     public Config.RunTrials (sweeprun -trials). Every trial carries its
+//     own seed; a trial sweep derives trial t's from [TrialSeed], a
+//     splitmix64 mix of the sweep seed, the grid index, and the trial
+//     index. No two trials share a generator, which is what makes the
+//     runner free to execute them in any order. [ShardScenarios] splits an
+//     expanded sweep round-robin into shards that keep each trial's global
+//     index.
 //   - [Runner] executes trials on a worker pool. Results land in a slot
 //     array indexed by scenario position, so the output — and any
 //     aggregation built on it, e.g. stats.Collector — is byte-identical

@@ -92,8 +92,8 @@ func RunTrialFull(index int, s Scenario) (Result, *engine.Result) {
 // ResultSink consumes digested trial results as a sweep produces them.
 // Runner.SweepTo delivers results strictly in ascending index order and
 // never calls Consume concurrently, so implementations need no locking.
-// internal/sink provides the standard implementations (in-memory
-// collection, buffered JSONL streaming, fan-out).
+// internal/sink's buffered JSONL shard writer is the production
+// implementation; a caller that needs results in memory uses Runner.Sweep.
 type ResultSink interface {
 	Consume(r Result) error
 }
@@ -393,16 +393,16 @@ func (r Runner) SweepFuncToCtx(ctx context.Context, n int, fn func(i int) Result
 	}
 	tm.ReorderHighWater.Observe(int64(maxOcc))
 	if sinkErr != nil {
-		// A sink that refused a record BECAUSE a context ended (a
-		// context-aware retry wrapper aborting its backoff sleep during a
-		// shutdown drain) is a cooperative cancellation, not an IO failure:
-		// the delivered prefix is exactly what SweepToCtx's own
-		// cancellation leaves behind, so it classifies the same way —
-		// CanceledError, resumable, exit code 5 rather than 3. The raw
-		// Consume error is wrapped (not the SinkError envelope) so the
-		// result does NOT classify as an IO failure, and Done counts only
-		// the records the sink actually accepted — the refused record was
-		// never written.
+		// A sink that refused a record BECAUSE a context ended (a caller's
+		// sink that watches its own context and returns that context's
+		// error from Consume, say during a shutdown drain) is a cooperative
+		// cancellation, not an IO failure: the delivered prefix is exactly
+		// what SweepToCtx's own cancellation leaves behind, so it
+		// classifies the same way — CanceledError, resumable, exit code 5
+		// rather than 3. The raw Consume error is wrapped (not the
+		// SinkError envelope) so the result does NOT classify as an IO
+		// failure, and Done counts only the records the sink actually
+		// accepted — the refused record was never written.
 		if errors.Is(rawErr, context.Canceled) || errors.Is(rawErr, context.DeadlineExceeded) {
 			return &CanceledError{Done: delivered, Total: n, Err: rawErr}
 		}

@@ -149,9 +149,6 @@ type Scenario struct {
 	// comparable only within one schedule — sink fingerprints carry the
 	// version for exactly that reason.
 	SeedSchedule int
-	// PinSeed tells Sweep expansion to keep Seed instead of deriving a
-	// per-trial seed via TrialSeed.
-	PinSeed bool
 
 	// BuildProc overrides automaton construction (index i is the process's
 	// position; process IDs are i+1). The factory runs inside the trial.

@@ -119,52 +119,6 @@ func TestTrialSeedScheme(t *testing.T) {
 	}
 }
 
-// TestSweepExpansion covers the grid builder: axis ordering (later axes
-// fastest), trial expansion, per-trial seeds, and PinSeed.
-func TestSweepExpansion(t *testing.T) {
-	base := Scenario{Name: "base"}
-	sw := NewSweep(base).Seed(7).
-		Axis(
-			func(s *Scenario) { s.Name = "a0" },
-			func(s *Scenario) { s.Name = "a1" },
-		).
-		Axis(
-			func(s *Scenario) { s.Stable = 1 },
-			func(s *Scenario) { s.Stable = 2 },
-			func(s *Scenario) { s.Stable = 3 },
-		).
-		Trials(2)
-	if sw.Size() != 12 {
-		t.Fatalf("Size = %d, want 12", sw.Size())
-	}
-	scs := sw.Scenarios()
-	if len(scs) != 12 {
-		t.Fatalf("expanded to %d scenarios, want 12", len(scs))
-	}
-	// Later axes fastest: a0/1, a0/2, a0/3, a1/1, ...
-	wantNames := []string{"a0", "a0", "a0", "a0", "a0", "a0", "a1", "a1", "a1", "a1", "a1", "a1"}
-	wantStable := []int{1, 1, 2, 2, 3, 3, 1, 1, 2, 2, 3, 3}
-	for i, s := range scs {
-		if s.Name != wantNames[i] || s.Stable != wantStable[i] {
-			t.Fatalf("scenario %d = (%s, stable=%d), want (%s, stable=%d)",
-				i, s.Name, s.Stable, wantNames[i], wantStable[i])
-		}
-	}
-	// Per-trial seeds: grid point g = i/2, trial = i%2.
-	for i, s := range scs {
-		if want := TrialSeed(7, i/2, i%2); s.Seed != want {
-			t.Fatalf("scenario %d seed = %d, want %d", i, s.Seed, want)
-		}
-	}
-	// PinSeed wins over derivation.
-	pinned := NewSweep(Scenario{Seed: 99, PinSeed: true}).Seed(7).Trials(3).Scenarios()
-	for _, s := range pinned {
-		if s.Seed != 99 {
-			t.Fatalf("pinned seed overridden to %d", s.Seed)
-		}
-	}
-}
-
 // orderSink records the delivery order and results it sees.
 type orderSink struct {
 	results []Result
@@ -314,16 +268,23 @@ func TestSweepTrialsToGlobalIndices(t *testing.T) {
 	if !reflect.DeepEqual(merged, want) {
 		t.Fatal("merged shard streams differ from the unsharded sweep")
 	}
-	// Sweep.Shard goes through the same partition.
-	sw := NewSweep(Scenario{Name: "s"}).Seed(3).Trials(10)
-	trials, err := sw.Shard(1, 4)
+	// A shard of a seeded grid keeps each trial's seed: trial i of a
+	// 10-trial sweep with sweep seed 3 is seeded TrialSeed(3, 0, i) in
+	// whichever shard it lands.
+	seeded := make([]Scenario, 10)
+	for i := range seeded {
+		seeded[i] = Scenario{Name: "s", Seed: TrialSeed(3, 0, i)}
+	}
+	trials, err := ShardScenarios(seeded, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := sw.Scenarios()
+	if len(trials) != 3 {
+		t.Fatalf("shard 1/4 of 10 trials holds %d, want 3", len(trials))
+	}
 	for _, tr := range trials {
-		if tr.Index%4 != 1 || tr.Scenario.Seed != full[tr.Index].Seed {
-			t.Fatalf("Sweep.Shard trial %+v inconsistent with expansion", tr)
+		if tr.Index%4 != 1 || tr.Scenario.Seed != TrialSeed(3, 0, tr.Index) {
+			t.Fatalf("shard trial %+v inconsistent with its global index", tr)
 		}
 	}
 }

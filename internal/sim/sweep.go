@@ -22,55 +22,6 @@ func TrialSeed(sweepSeed int64, scenario, trial int) int64 {
 	return int64(h)
 }
 
-// Mutation adjusts one field of a Scenario; an axis is a list of mutations.
-type Mutation func(*Scenario)
-
-// Sweep builds a grid of scenarios: the cross-product of its axes applied
-// to a base scenario, times a trial count, with deterministic per-trial
-// seeding.
-type Sweep struct {
-	base   Scenario
-	seed   int64
-	axes   [][]Mutation
-	trials int
-}
-
-// NewSweep starts a sweep from a base scenario.
-func NewSweep(base Scenario) *Sweep {
-	return &Sweep{base: base, trials: 1}
-}
-
-// Seed sets the sweep seed from which every trial seed derives.
-func (w *Sweep) Seed(seed int64) *Sweep {
-	w.seed = seed
-	return w
-}
-
-// Axis appends one grid dimension. The cross-product enumerates axes in the
-// order added, later axes varying fastest.
-func (w *Sweep) Axis(values ...Mutation) *Sweep {
-	w.axes = append(w.axes, values)
-	return w
-}
-
-// Trials sets how many independently seeded trials each grid point expands
-// to (default 1).
-func (w *Sweep) Trials(k int) *Sweep {
-	if k > 0 {
-		w.trials = k
-	}
-	return w
-}
-
-// Size returns the number of scenarios the sweep expands to.
-func (w *Sweep) Size() int {
-	points := 1
-	for _, axis := range w.axes {
-		points *= len(axis)
-	}
-	return points * w.trials
-}
-
 // Trial pairs a scenario with its global index in the full sweep. Shards
 // are slices of Trials so that a shard worker reports results under the
 // indices the unsharded sweep would have used.
@@ -79,19 +30,12 @@ type Trial struct {
 	Scenario Scenario
 }
 
-// Shard expands the grid and returns its i-of-k shard: every trial whose
-// global index is congruent to shard mod shards. Expansion happens before
-// partitioning, so each trial keeps the exact Seed the unsharded sweep
-// derives for it (TrialSeed over the sweep seed, grid index, and trial
-// index) and the union of the k shards is the unsharded scenario slice —
-// byte-identical executions at any worker or shard count.
-func (w *Sweep) Shard(shard, shards int) ([]Trial, error) {
-	return ShardScenarios(w.Scenarios(), shard, shards)
-}
-
-// ShardScenarios partitions an already-expanded scenario slice (the grid ×
-// trials order of Sweep.Scenarios, or any experiment grid) into its
-// shard-of-shards subset by round-robin on the global index. Round-robin
+// ShardScenarios partitions an expanded scenario slice (an experiment grid
+// or a -trials sweep, each trial already carrying its seed) into its
+// shard-of-shards subset by round-robin on the global index. Partitioning
+// after expansion keeps every trial's seed and index what the unsharded
+// sweep gives it, so the union of the k shards is the unsharded slice —
+// byte-identical executions at any worker or shard count. Round-robin
 // balances cost-skewed grids (e.g. one axis varying |V|) better than
 // contiguous blocks would.
 func ShardScenarios(scenarios []Scenario, shard, shards int) ([]Trial, error) {
@@ -106,34 +50,4 @@ func ShardScenarios(scenarios []Scenario, shard, shards int) ([]Trial, error) {
 		out = append(out, Trial{Index: i, Scenario: scenarios[i]})
 	}
 	return out, nil
-}
-
-// Scenarios expands the grid. Each scenario receives Seed =
-// TrialSeed(sweepSeed, gridIndex, trial) unless a mutation pinned one
-// (Scenario.PinSeed).
-func (w *Sweep) Scenarios() []Scenario {
-	points := 1
-	for _, axis := range w.axes {
-		points *= len(axis)
-	}
-	out := make([]Scenario, 0, points*w.trials)
-	for g := 0; g < points; g++ {
-		s := w.base
-		rem := g
-		// Decode the grid index: later axes vary fastest.
-		stride := points
-		for _, axis := range w.axes {
-			stride /= len(axis)
-			axis[rem/stride](&s)
-			rem %= stride
-		}
-		for t := 0; t < w.trials; t++ {
-			sc := s
-			if !sc.PinSeed {
-				sc.Seed = TrialSeed(w.seed, g, t)
-			}
-			out = append(out, sc)
-		}
-	}
-	return out
 }

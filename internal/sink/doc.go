@@ -1,13 +1,12 @@
 // Package sink is the streaming result pipeline under the sweep engine:
 // instead of accumulating per-trial results in memory and discarding them
 // once a table or statistic is rendered, a sweep streams each digested
-// sim.Result into a Sink as it completes — to memory (Memory), to a JSONL
-// file (JSONL), or to several places at once (Fanout). Together with the
-// sweep sharding in internal/sim (Sweep.Shard / ShardScenarios) it turns a
-// single-machine Monte-Carlo sweep into k independent shard runs whose
-// output files merge back — byte-identically — into what the one-machine
-// run would have produced. cmd/sweeprun is the command-line face of the
-// subsystem.
+// sim.Result as it completes into a JSONL shard file (JSONL, a
+// sim.ResultSink). Together with the sweep sharding in internal/sim
+// (ShardScenarios) it turns a single-machine Monte-Carlo sweep into k
+// independent shard runs whose output files merge back — byte-identically
+// — into what the one-machine run would have produced. cmd/sweeprun is the
+// command-line face of the subsystem.
 //
 // # Delivery contract
 //

@@ -39,13 +39,13 @@ type JSONL struct {
 }
 
 // NewJSONL returns a JSONL sink writing to w through a buffer. Call Flush
-// (or sink.Flush) after the sweep; the tail is lost otherwise.
+// after the sweep; the tail is lost otherwise.
 func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
-// Consume implements Sink: it digests the result into a record and appends
-// its line.
+// Consume implements sim.ResultSink: it digests the result into a record
+// and appends its line.
 func (j *JSONL) Consume(r sim.Result) error {
 	rec := Record{
 		Index:             r.Index,
@@ -112,7 +112,7 @@ func (j *JSONL) Tally() (records, quarantined int, bytes uint64) {
 	return j.records, j.quarantined, j.bytes
 }
 
-// Flush implements Flusher.
+// Flush writes the buffered lines through to the underlying writer.
 func (j *JSONL) Flush() error {
 	buffered := int64(j.w.Buffered())
 	sm := telemetry.SinkIO()
@@ -153,17 +153,17 @@ func appendRecord(b []byte, rec Record) []byte {
 	b = strconv.AppendInt(b, int64(rec.Schema), 10)
 	if rec.Exp != "" {
 		b = append(b, `,"exp":`...)
-		b = appendString(b, rec.Exp)
+		b = events.AppendJSONString(b, rec.Exp)
 	}
 	if rec.Fingerprint != "" {
 		b = append(b, `,"fp":`...)
-		b = appendString(b, rec.Fingerprint)
+		b = events.AppendJSONString(b, rec.Fingerprint)
 	}
 	b = append(b, `,"i":`...)
 	b = strconv.AppendInt(b, int64(rec.Index), 10)
 	if rec.Name != "" {
 		b = append(b, `,"name":`...)
-		b = appendString(b, rec.Name)
+		b = events.AppendJSONString(b, rec.Name)
 	}
 	b = append(b, `,"seed":`...)
 	b = strconv.AppendInt(b, rec.Seed, 10)
@@ -193,19 +193,19 @@ func appendRecord(b []byte, rec Record) []byte {
 	b = strconv.AppendBool(b, rec.TerminationOK)
 	if rec.Err != "" {
 		b = append(b, `,"err":`...)
-		b = appendString(b, rec.Err)
+		b = events.AppendJSONString(b, rec.Err)
 	}
 	if rec.Item != "" {
 		b = append(b, `,"item":`...)
-		b = appendString(b, rec.Item)
+		b = events.AppendJSONString(b, rec.Item)
 	}
 	if rec.ItemParams != "" {
 		b = append(b, `,"itemparams":`...)
-		b = appendString(b, rec.ItemParams)
+		b = events.AppendJSONString(b, rec.ItemParams)
 	}
 	if rec.Out != "" {
 		b = append(b, `,"out":`...)
-		b = appendString(b, rec.Out)
+		b = events.AppendJSONString(b, rec.Out)
 	}
 	b = append(b, `,"params":`...)
 	b = appendParams(b, rec.Params)
@@ -226,7 +226,7 @@ func appendParams(b []byte, p Params) []byte {
 	}
 	if p.Algorithm != "" {
 		b = append(comma(b), `"alg":`...)
-		b = appendString(b, p.Algorithm)
+		b = events.AppendJSONString(b, p.Algorithm)
 	}
 	if p.N != 0 {
 		b = append(comma(b), `"n":`...)
@@ -242,7 +242,7 @@ func appendParams(b []byte, p Params) []byte {
 	}
 	if p.Detector != "" {
 		b = append(comma(b), `"detector":`...)
-		b = appendString(b, p.Detector)
+		b = events.AppendJSONString(b, p.Detector)
 	}
 	if p.Race != 0 {
 		b = append(comma(b), `"race":`...)
@@ -254,7 +254,7 @@ func appendParams(b []byte, p Params) []byte {
 	}
 	if p.CM != "" {
 		b = append(comma(b), `"cm":`...)
-		b = appendString(b, p.CM)
+		b = events.AppendJSONString(b, p.CM)
 	}
 	if p.Stable != 0 {
 		b = append(comma(b), `"stable":`...)
@@ -262,7 +262,7 @@ func appendParams(b []byte, p Params) []byte {
 	}
 	if p.Loss != "" {
 		b = append(comma(b), `"loss":`...)
-		b = appendString(b, p.Loss)
+		b = events.AppendJSONString(b, p.Loss)
 	}
 	if p.LossP != 0 {
 		b = append(comma(b), `"lossp":`...)
@@ -278,14 +278,14 @@ func appendParams(b []byte, p Params) []byte {
 	}
 	if p.Trace != "" {
 		b = append(comma(b), `"trace":`...)
-		b = appendString(b, p.Trace)
+		b = events.AppendJSONString(b, p.Trace)
 	}
 	if p.Gor {
 		b = append(comma(b), `"goroutines":true`...)
 	}
 	if p.Crashes != "" {
 		b = append(comma(b), `"crashes":`...)
-		b = appendString(b, p.Crashes)
+		b = events.AppendJSONString(b, p.Crashes)
 	}
 	if p.SweepSeed != 0 {
 		b = append(comma(b), `"sweepseed":`...)
@@ -293,32 +293,11 @@ func appendParams(b []byte, p Params) []byte {
 	}
 	if p.Bespoke != "" {
 		b = append(comma(b), `"bespoke":`...)
-		b = appendString(b, p.Bespoke)
+		b = events.AppendJSONString(b, p.Bespoke)
 	}
 	if p.SeedSchedule != 0 {
 		b = append(comma(b), `"sched":`...)
 		b = strconv.AppendInt(b, int64(p.SeedSchedule), 10)
 	}
 	return append(b, '}')
-}
-
-// appendString writes a JSON string. Scenario names and class names are
-// plain ASCII; bytes needing escapes take the explicit path, and non-ASCII
-// passes through verbatim (valid UTF-8 needs no escaping in JSON).
-func appendString(b []byte, s string) []byte {
-	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			b = append(b, '\\', c)
-		case c < 0x20:
-			b = append(b, `\u00`...)
-			const hex = "0123456789abcdef"
-			b = append(b, hex[c>>4], hex[c&0xf])
-		default:
-			b = append(b, c)
-		}
-	}
-	return append(b, '"')
 }

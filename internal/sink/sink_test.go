@@ -298,38 +298,6 @@ func TestWorkItemRecords(t *testing.T) {
 	}
 }
 
-// TestFanoutAndMemory covers the composition sinks.
-func TestFanoutAndMemory(t *testing.T) {
-	var mem Memory
-	var buf bytes.Buffer
-	j := NewJSONL(&buf)
-	f := Fanout{&mem, j}
-	for i := 0; i < 3; i++ {
-		if err := f.Consume(sim.Result{Index: i, Rounds: i + 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := Flush(f); err != nil {
-		t.Fatal(err)
-	}
-	if len(mem.Results) != 3 || mem.Results[2].Rounds != 3 {
-		t.Fatalf("memory sink collected %+v", mem.Results)
-	}
-	if recs, err := ReadRecords(&buf); err != nil || len(recs) != 3 {
-		t.Fatalf("jsonl side of the fanout: %v, %d records", err, len(recs))
-	}
-
-	boom := errors.New("boom")
-	failing := Fanout{&Memory{}, errSink{boom}}
-	if err := failing.Consume(sim.Result{}); !errors.Is(err, boom) {
-		t.Fatalf("fanout swallowed the sink error: %v", err)
-	}
-}
-
-type errSink struct{ err error }
-
-func (s errSink) Consume(sim.Result) error { return s.err }
-
 // TestParamsOf covers the scenario digest: defaults, crash digests, and
 // bespoke factory flags.
 func TestParamsOf(t *testing.T) {
