@@ -14,7 +14,8 @@
 // accepts ?name= to fetch one registry subtree) and /debug/pprof/, -addr
 // serves
 //
-//	POST /jobs                  submit a job spec (JSON), returns its status
+//	POST /jobs                  submit a job spec (JSON, at most 1 MiB),
+//	                            returns its status
 //	GET  /jobs                  list every known job, admission order
 //	GET  /jobs/{id}             one job's status document (telemetry
 //	                            run-report schema rides along verbatim once
@@ -56,8 +57,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -161,11 +164,25 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
+// maxSpecBytes caps a POST /jobs body. A spec is a few hundred bytes, and
+// a 4,096-value -values list is about 25 KB.
+const maxSpecBytes = 1 << 20
+
 // registerJobAPI mounts the job routes on the shared telemetry mux.
 func registerJobAPI(mux *http.ServeMux, sup *jobs.Supervisor, sseBuf int) {
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		if err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("job spec exceeds %d bytes", maxSpecBytes))
+				return
+			}
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("reading job spec: %w", err))
+			return
+		}
 		var spec jobs.Spec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))

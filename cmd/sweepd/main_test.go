@@ -322,6 +322,55 @@ func TestDaemonDrainAndRestartResumes(t *testing.T) {
 	}
 }
 
+// TestDaemonRejectsOversizedSpec: POST /jobs reads at most maxSpecBytes.
+// A larger body gets 413 and admits no job; a normal spec is still
+// accepted.
+func TestDaemonRejectsOversizedSpec(t *testing.T) {
+	dir := t.TempDir()
+	baseURL, shutdown := startDaemon(t, dir)
+	defer func() {
+		if err := shutdown(); err != nil {
+			t.Fatalf("drain returned %v", err)
+		}
+	}()
+
+	values := strings.Repeat("1,", maxSpecBytes/2) + "1"
+	big, err := json.Marshal(jobs.Spec{
+		Trials: 5,
+		Config: []string{"-values", values},
+		Out:    filepath.Join(dir, "big.jsonl"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(big) <= maxSpecBytes {
+		t.Fatalf("test spec is %d bytes, not over the %d-byte cap", len(big), maxSpecBytes)
+	}
+	resp, err := http.Post(baseURL+"/jobs", "application/json", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: %s, want 413\n%s", resp.Status, body)
+	}
+	var list []jobs.Status
+	getJSON(t, baseURL+"/jobs", &list)
+	if len(list) != 0 {
+		t.Fatalf("oversized spec admitted a job: %+v", list)
+	}
+
+	resp, body = postJSON(t, baseURL+"/jobs", jobs.Spec{
+		Trials: 5,
+		Config: []string{"-alg", "propose", "-seed", "11"},
+		Out:    filepath.Join(dir, "small.jsonl"),
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("normal spec: %s, want 202\n%s", resp.Status, body)
+	}
+}
+
 // TestExitcodesFlag prints the shared table.
 func TestExitcodesFlag(t *testing.T) {
 	var buf bytes.Buffer

@@ -33,17 +33,6 @@ const sseTick = 150 * time.Millisecond
 // arrive before it finishes with eof.
 const sseEndGrace = time.Second
 
-// terminal reports whether a job state can no longer emit events in this
-// process. Checkpointed counts: the job is parked until a restart, and a
-// restarted daemon is a new process (and a new stream).
-func terminal(st jobs.State) bool {
-	switch st {
-	case jobs.StateDone, jobs.StateQuarantined, jobs.StateCanceled, jobs.StateCheckpointed:
-		return true
-	}
-	return false
-}
-
 // sseStream frames server-sent events onto one response. Data payloads are
 // single JSONL lines (journal events, sink records) — never multi-line.
 type sseStream struct {
@@ -123,7 +112,7 @@ func handleEvents(w http.ResponseWriter, r *http.Request, sup *jobs.Supervisor, 
 	s := &sseStream{w: w, fl: fl}
 	tail := &shardTail{path: st.Spec.Out}
 
-	if terminal(st.State) {
+	if st.State.Terminal() {
 		// The live journal has moved on (or was never up); the durable
 		// export next to the shard file is the record of the job's last
 		// attempt.
@@ -200,7 +189,7 @@ func handleEvents(w http.ResponseWriter, r *http.Request, sup *jobs.Supervisor, 
 				s.event("lagged", []byte(fmt.Sprintf(`{"dropped":%d}`, d-lastDropped)))
 				lastDropped = d
 			}
-			if cur, ok := sup.Job(id); !ok || terminal(cur.State) {
+			if cur, ok := sup.Job(id); !ok || cur.State.Terminal() {
 				if endBy == nil {
 					if ok {
 						endState = cur.State

@@ -63,7 +63,7 @@
 //     one flat slice per view field plus a shared receive arena of
 //     (message, count) segments — instead of per-round map[ProcessID]View,
 //     so recording a full execution is also allocation-free in steady
-//     state (n=8: 60 allocs per 256-round run vs 49 decisions-only, down
+//     state (n=8: 49 allocs per 256-round run vs 38 decisions-only, down
 //     from 4065). The arena is the only shape of a recorded execution:
 //     views materialize lazily through the model accessors, and
 //     validation, indistinguishability and the derived traces read its
@@ -84,13 +84,16 @@
 //     detector with FalsePositiveRate noise keeps sequential delivery).
 //
 // Headline numbers from BenchmarkEngineRoundThroughput (Algorithm 2, 8
-// processes, 30% probabilistic loss, 256 rounds/run, one 2.7GHz core),
-// against the pre-refactor engine:
+// processes, 30% probabilistic loss, 256 rounds/run), against the
+// pre-refactor engine. ns/round was taken on one 2.7GHz core when the
+// columnar arena landed; allocs/run is the current count, all of it a
+// run's fixed cost, because the round step keeps every round variable in
+// the run state:
 //
 //	                      ns/round   allocs/run
 //	seed (full trace)         5749         9589
-//	full trace (PR 4)         1402           60   (4.1× / 160×)
-//	decisions only            1185           49   (4.9× / 196×)
+//	full trace                1402           49   (4.1× / 196×)
+//	decisions only            1185           38   (4.9× / 252×)
 //
 // BENCH_baseline.json records the full benchmark suite; regenerate it with
 // go test -run '^$' -bench . -benchmem. BENCH_pr2.json snapshots the suite

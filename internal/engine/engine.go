@@ -10,38 +10,36 @@
 //
 // # Hot path
 //
-// The round loop is built for near-zero steady-state allocation: all
-// per-process state (crash schedule, contention advice, broadcasts, halted
-// and decided flags) lives in dense slices indexed by a sorted process
-// table built once per run, and receive multisets are drawn from a
-// sync.Pool and reset in place between rounds — in both trace modes. The
-// delivery loop reads each receiver's loss row by index: a
-// loss.ConcurrentPlanner hands over the round's loss matrix (PlanRows), and
-// for any other adversary the loop copies Plan's DeliveryFunc answers into
-// one reusable row, receivers and senders ascending, so stateful
-// adversaries see the same call sequence either way. With
-// Config.Trace set to TraceDecisionsOnly nothing is recorded per round.
-// TraceFull (the default) records every view into a columnar
-// model.TraceArena — flat per-field columns plus a shared receive arena —
-// so full traces are also allocation-free in steady state; views are
-// materialized lazily by the model package's accessors. Both modes produce
-// identical decisions because they drive the detector, manager, and
-// adversary through identical call sequences.
+// Run is set-up (newRunState), a loop over one round step
+// ((*runState).round), and a finish. The round step runs the model's order
+// — contention advice, messages, the adversary's plan, delivery, decision
+// bookkeeping — over one runState holding the run's components, its dense
+// per-process buffers and the open round, so no closure captures round
+// state and steady-state rounds allocate nothing; receive multisets are
+// pooled and reset in place. The delivery loop reads each receiver's loss
+// row by index: a loss.ConcurrentPlanner hands over the round's loss
+// matrix (PlanRows), and any other adversary's DeliveryFunc answers are
+// copied into one reusable row, receivers and senders ascending, so
+// stateful adversaries see the same call sequence either way.
+// TraceDecisionsOnly records nothing per round; TraceFull (the default)
+// records every view into a columnar model.TraceArena, allocation-free in
+// steady state too. Both modes drive the detector, manager, and adversary
+// through identical call sequences, so they produce identical decisions.
 //
 // # Parallel delivery
 //
-// For large systems the per-round delivery loop (receive-set construction,
-// detector advice, automaton transition — the O(n·senders) inner loop) can
-// be sharded across a bounded worker pool via Config.DeliveryWorkers. The
-// shard split is a pure function of (n, workers) and every per-process step
-// is independent, so decisions and recorded traces are byte-identical to
-// the sequential path at any worker count. The parallel path engages only
-// when every randomized component is order-independent (the detector's
-// behavior is a detector.ConcurrentBehavior and the adversary passes
-// loss.ConcurrentSafe — true for all honest/minimal/maxnoise detectors and
-// the built-in channel models) and the system has at least
-// Config.DeliveryMinProcs processes (Calibrate().MinProcs when that is
-// unset); otherwise it silently falls back to the sequential loop.
+// A round's three per-process phases are methods over process indices
+// [lo, hi): message, the row planner's loss-matrix fill, and deliver. One
+// helper runs a phase inline, or over a bounded worker pool when
+// Config.DeliveryWorkers asks for one; the ordered sender gather and the
+// arena merge stay on the calling goroutine. Shards are a pure function of
+// (n, workers) and per-process steps are independent, so decisions and
+// traces are byte-identical at any worker count. The pool engages only
+// when the detector's behavior is a detector.ConcurrentBehavior, the
+// adversary passes loss.ConcurrentSafe (true for the honest, minimal and
+// maxnoise detectors and the built-in channel models), and the system has
+// at least Config.DeliveryMinProcs processes (Calibrate().MinProcs when
+// unset).
 package engine
 
 import (
@@ -72,7 +70,7 @@ const (
 	// arguments. The default.
 	TraceFull TraceMode = iota
 	// TraceDecisionsOnly records only decisions and round counts: the
-	// Result's Execution has Procs, Initial, and Decisions but no Rounds.
+	// Result's Execution has Procs, Initial, and Decisions but no views.
 	// Experiment sweeps that never inspect views run several times faster
 	// and nearly allocation-free in this mode. Decisions are byte-identical
 	// to a TraceFull run of the same configuration.
@@ -178,10 +176,22 @@ type Result struct {
 	AllDecided bool
 }
 
-// runState holds every per-run buffer of the hot loop, so steady-state
-// rounds allocate only what the trace requires. All slices are indexed by
-// the process's position in the sorted procs table.
+// runState is one run: its components, the dense per-process buffers of
+// the hot loop (indexed by position in the sorted procs table), and the
+// open round, held in fields rather than closure captures. Run builds it
+// (newRunState), steps it (round), and closes it (finish).
 type runState struct {
+	det        *detector.Detector
+	manager    cm.Service
+	denseCM    cm.DenseAdviser // manager's allocation-free form, if any
+	observer   cm.Observer     // manager's broadcast-count hook, if any
+	adversary  loss.Adversary
+	rowPlanner loss.ConcurrentPlanner // nil: ask adversary.Plan per pair
+	exec       *model.Execution
+	arena      *model.TraceArena          // nil under TraceDecisionsOnly
+	pool       *shardPool                 // nil on the sequential path
+	alive      func(model.ProcessID) bool // aliveForCM, bound once per run
+
 	procs []model.ProcessID // sorted process table
 	autos []model.Automaton
 	dec   []model.Decider // nil where the automaton never decides
@@ -191,30 +201,64 @@ type runState struct {
 	decided []bool
 
 	cm         []model.CMAdvice    // this round's contention advice
+	msgs       []model.Message     // this round's messages, by index, until the gather
 	sendOrd    []int               // procs[i]'s position in senders, -1 if silent
 	senders    []model.ProcessID   // this round's broadcasters, sorted
-	senderMsgs []model.Message     // senders' messages, parallel to senders
-	msgs       []*model.Message    // per-index Message results (parallel path only)
+	senderMsgs []model.Message     // senders' messages, parallel to senders (a prefix of msgs)
 	recvs      []*model.RecvSet    // pooled receive sets, reset every round
-	recvBuf    [][]model.RecvEntry // per-process arena snapshots (TraceFull)
+	recvBuf    [][]model.RecvEntry // per-process arena snapshots (TraceFull, sharded)
 	planRow    []bool              // one receiver's loss row, for Plan-only adversaries
+
+	// The open round.
+	r     int
+	row   int               // open arena row (TraceFull)
+	plan  loss.DeliveryFunc // from a Plan-only adversary
+	lost  []bool            // from a row planner; nil loses nothing
+	fill  func(lo, hi int)  // the row planner's matrix filler, for phasePlan
+	phase phase             // what runPhase runs
 }
 
-// newRunState builds the sorted process-index table and the dense per-run
-// buffers.
-func newRunState(cfg *Config) *runState {
+// phase names the per-process work a round hands runPhase.
+type phase uint8
+
+const (
+	phaseDeliver phase = iota
+	phaseMessage
+	phasePlan
+)
+
+// newRunState sets a run up: component defaults, the sorted process table
+// and dense buffers, the trace arena, the pooled receive sets, and the
+// shard pool when the run shards.
+func newRunState(cfg *Config, maxRounds int) *runState {
 	n := len(cfg.Procs)
 	st := &runState{
-		procs:      make([]model.ProcessID, 0, n),
-		autos:      make([]model.Automaton, n),
-		dec:        make([]model.Decider, n),
-		halted:     make([]bool, n),
-		decided:    make([]bool, n),
-		cm:         make([]model.CMAdvice, n),
-		sendOrd:    make([]int, n),
-		senders:    make([]model.ProcessID, 0, n),
-		senderMsgs: make([]model.Message, 0, n),
+		det:       cfg.Detector,
+		manager:   cfg.CM,
+		adversary: cfg.Loss,
+		procs:     make([]model.ProcessID, 0, n),
+		autos:     make([]model.Automaton, n),
+		dec:       make([]model.Decider, n),
+		halted:    make([]bool, n),
+		decided:   make([]bool, n),
+		cm:        make([]model.CMAdvice, n),
+		msgs:      make([]model.Message, n),
+		sendOrd:   make([]int, n),
+		senders:   make([]model.ProcessID, 0, n),
+		recvs:     make([]*model.RecvSet, n),
 	}
+	if st.det == nil {
+		st.det = detector.New(detector.AC)
+	}
+	if st.manager == nil {
+		st.manager = cm.NoCM{}
+	}
+	if st.adversary == nil {
+		st.adversary = loss.None{}
+	}
+	st.denseCM, _ = st.manager.(cm.DenseAdviser)
+	st.observer, _ = st.manager.(cm.Observer)
+	st.alive = st.aliveForCM
 	for id := range cfg.Procs {
 		st.procs = append(st.procs, id)
 	}
@@ -226,6 +270,30 @@ func newRunState(cfg *Config) *runState {
 		}
 	}
 	st.sched = cfg.Crashes.Dense(st.procs)
+	st.exec = model.NewExecution(st.procs, cfg.Initial)
+	workers := resolveDeliveryWorkers(cfg, n, st.det, st.adversary)
+	if loss.ConcurrentSafe(st.adversary) {
+		st.rowPlanner = st.adversary.(loss.ConcurrentPlanner)
+	} else {
+		st.planRow = make([]bool, n)
+	}
+	if cfg.Trace == TraceFull {
+		// Acquired from the shape-keyed reuse pool: callers that digest the
+		// trace and call Execution.Release recycle the columns run to run.
+		st.arena = model.AcquireTraceArena(n, maxRounds)
+		st.exec.Arena = st.arena
+		if workers > 1 {
+			// Shard workers snapshot receive sets into per-process buffers;
+			// the sequential path appends straight into the arena instead.
+			st.recvBuf = make([][]model.RecvEntry, n)
+		}
+	}
+	for i := range st.recvs {
+		st.recvs[i] = recvPool.Get().(*model.RecvSet)
+	}
+	if workers > 1 {
+		st.pool = newShardPool(workers, st.runPhase)
+	}
 	return st
 }
 
@@ -237,6 +305,15 @@ func (st *runState) position(id model.ProcessID) (int, bool) {
 		return i, true
 	}
 	return slices.BinarySearch(st.procs, id)
+}
+
+// aliveForCM is the liveness the contention manager sees in the open
+// round. A halted (decided) process no longer contends for the channel, so
+// the manager treats it like a crashed one — a backoff implementation
+// would observe the same thing.
+func (st *runState) aliveForCM(id model.ProcessID) bool {
+	i, ok := st.position(id)
+	return ok && !st.sched.CrashedForSend(i, st.r) && !st.halted[i]
 }
 
 // recvPool recycles receive multisets across rounds and runs in both trace
@@ -274,353 +351,269 @@ func resolveDeliveryWorkers(cfg *Config, n int, det *detector.Detector, adversar
 	return w
 }
 
-// Run executes the configured system and returns the recorded execution.
+// Run executes the configured system and returns the recorded execution:
+// set-up, one round step per round until every live process has decided
+// (or MaxRounds, under RunFullHorizon), and the finish.
 func Run(cfg Config) (*Result, error) {
 	if len(cfg.Procs) == 0 {
 		return nil, fmt.Errorf("engine: no processes configured")
-	}
-	det := cfg.Detector
-	if det == nil {
-		det = detector.New(detector.AC)
-	}
-	manager := cfg.CM
-	if manager == nil {
-		manager = cm.NoCM{}
-	}
-	adversary := cfg.Loss
-	if adversary == nil {
-		adversary = loss.None{}
 	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
-
-	st := newRunState(&cfg)
-	denseCM, _ := manager.(cm.DenseAdviser)
-	observer, _ := manager.(cm.Observer)
-	traceFull := cfg.Trace == TraceFull
-
-	exec := model.NewExecution(st.procs, cfg.Initial)
-	workers := resolveDeliveryWorkers(&cfg, len(st.procs), det, adversary)
-	parallel := workers > 1
-	// A row planner hands each round's loss matrix to the delivery loop.
-	// Any other adversary answers per pair through Plan's DeliveryFunc,
-	// which the loop copies into one reusable row per receiver.
-	var rowPlanner loss.ConcurrentPlanner
-	if loss.ConcurrentSafe(adversary) {
-		rowPlanner = adversary.(loss.ConcurrentPlanner)
-	} else {
-		st.planRow = make([]bool, len(st.procs))
-	}
-	var arena *model.TraceArena
-	if traceFull {
-		// Acquired from the shape-keyed reuse pool: callers that digest the
-		// trace and call Execution.Release recycle the columns run to run.
-		arena = model.AcquireTraceArena(len(st.procs), maxRounds)
-		exec.Arena = arena
-		if parallel {
-			// Shard workers snapshot receive sets into per-process buffers;
-			// the sequential path appends straight into the arena instead.
-			st.recvBuf = make([][]model.RecvEntry, len(st.procs))
-		}
-	}
-	st.recvs = make([]*model.RecvSet, len(st.procs))
-	for i := range st.recvs {
-		st.recvs[i] = recvPool.Get().(*model.RecvSet)
-	}
-	defer func() {
-		for _, rs := range st.recvs {
-			rs.Reset()
-			recvPool.Put(rs)
-		}
-	}()
-
-	// A halted (decided) process no longer contends for the channel, so the
-	// contention manager treats it like a crashed one — a backoff
-	// implementation would observe the same thing. The closure reads the
-	// loop's round variable, so it is allocated once per run.
-	var (
-		r        int
-		row      int               // open arena row (TraceFull)
-		plan     loss.DeliveryFunc // this round's plan, from a Plan-only adversary
-		lost     []bool            // this round's loss matrix, from a row planner
-		planFill func(lo, hi int)  // this round's shard-parallel matrix filler
-	)
-	aliveForCM := func(id model.ProcessID) bool {
-		i, ok := st.position(id)
-		return ok && !st.sched.CrashedForSend(i, r) && !st.halted[i]
-	}
-
-	// deliver performs the per-process half of a round's delivery phase for
-	// process indices [lo, hi): receive-set construction, detector advice,
-	// arena recording, and the automaton transition. Every index is
-	// independent of every other — the shard pool runs disjoint ranges
-	// concurrently — and the closure captures only run-level variables, so
-	// it is allocated once per run.
-	deliver := func(lo, hi int) {
-		// Copy the by-reference captures into locals so the inner loops read
-		// registers, not the closure environment.
-		r, row, plan, lost := r, row, plan, lost
-		senders, senderMsgs := st.senders, st.senderMsgs
-		k := len(senders)
-		for i := lo; i < hi; i++ {
-			id := st.procs[i]
-			if st.sched.CrashedForSend(i, r) {
-				// A crashed process receives nothing; its advice is still
-				// part of the formal CD trace and must be legal for the
-				// class, so it is computed like any other process's.
-				advice := det.Advise(r, id, len(senders), 0)
-				if traceFull {
-					arena.RecordCell(row, i, nil, advice, st.cm[i], true)
-					if parallel {
-						st.recvBuf[i] = st.recvBuf[i][:0]
-					} else {
-						arena.FinishCellRecv(nil)
-					}
-				}
-				continue
-			}
-			// Receiver i's loss row: the planner's matrix row, or one filled
-			// from the DeliveryFunc in the order stateful Plan-only
-			// adversaries rely on (senders ascending, no self-pair). A nil
-			// row loses nothing; a broadcaster always hears itself.
-			var lostRow []bool
-			if rowPlanner == nil {
-				lostRow = st.planRow[:k]
-				for j, snd := range senders {
-					lostRow[j] = snd != id && !plan(id, snd)
-				}
-			} else if lost != nil {
-				lostRow = lost[i*k : (i+1)*k]
-			}
-			own := st.sendOrd[i]
-			recv := st.recvs[i]
-			recv.Reset()
-			for j := range senderMsgs {
-				if lostRow == nil || !lostRow[j] || j == own {
-					recv.Add(senderMsgs[j])
-				}
-			}
-			advice := det.Advise(r, id, len(senders), recv.Len())
-			if traceFull {
-				var sentMsg *model.Message
-				if st.sendOrd[i] >= 0 {
-					sentMsg = &senderMsgs[st.sendOrd[i]]
-				}
-				arena.RecordCell(row, i, sentMsg, advice, st.cm[i], false)
-				if parallel {
-					st.recvBuf[i] = recv.AppendPairs(st.recvBuf[i][:0])
-				} else {
-					arena.FinishCellFromMultiset(recv)
-				}
-			}
-			if st.sched.CrashedForDeliver(i, r) || st.halted[i] {
-				continue // crashed mid-round or already halted: no transition
-			}
-			st.autos[i].Deliver(r, recv, advice, st.cm[i])
-		}
-	}
-	// genMessages performs the per-process half of message generation for
-	// indices [lo, hi): each automaton's Message call writes its own msgs
-	// slot, so disjoint ranges are independent and the shard pool runs them
-	// concurrently. The ordered sender gather stays sequential on the
-	// coordinator, so the senders table is byte-identical to the
-	// sequential path's.
-	genMessages := func(lo, hi int) {
-		r := r
-		for i := lo; i < hi; i++ {
-			st.msgs[i] = nil
-			if st.sched.CrashedForSend(i, r) || st.halted[i] {
-				continue
-			}
-			st.msgs[i] = st.autos[i].Message(r, st.cm[i])
-		}
-	}
-
-	// The pool runs one phase at a time — message generation, plan fill,
-	// delivery — dispatched through a coordinator-owned phase variable.
-	// Run's channel handshake orders the coordinator's phase write before
-	// any worker's read, so a single pool (and one barrier discipline)
-	// serves all three phases.
-	const (
-		phaseDeliver = iota
-		phaseMessage
-		phasePlan
-	)
-	phase := phaseDeliver
-	var pool *shardPool
-	if parallel {
-		st.msgs = make([]*model.Message, len(st.procs))
-		pool = newShardPool(workers, func(lo, hi int) {
-			switch phase {
-			case phaseMessage:
-				genMessages(lo, hi)
-			case phasePlan:
-				planFill(lo, hi)
-			default:
-				deliver(lo, hi)
-			}
-		})
-		defer pool.Close()
-	}
-
+	st := newRunState(&cfg, maxRounds)
+	defer st.release()
 	rounds := 0
-	for r = 1; r <= maxRounds; r++ {
+	for r := 1; r <= maxRounds; r++ {
 		if cfg.Stop != nil && cfg.Stop.Load() {
 			return nil, fmt.Errorf("engine: stopped before round %d: %w", r, ErrStopped)
 		}
 		rounds = r
-		if denseCM != nil {
-			denseCM.AdviseInto(r, st.procs, aliveForCM, st.cm)
-		} else {
-			advice := manager.Advise(r, st.procs, aliveForCM)
-			for i, id := range st.procs {
-				st.cm[i] = advice[id]
-			}
-		}
-
-		// Message generation (the msg function of Definition 1). Iterating
-		// the sorted table keeps senders sorted with no extra pass. On the
-		// parallel path the Message calls shard across the pool and only the
-		// ordered gather stays sequential; the automata are per-process
-		// state machines (the same independence delivery already relies on),
-		// so the gathered sender table is identical either way.
-		st.senders = st.senders[:0]
-		st.senderMsgs = st.senderMsgs[:0]
-		if pool != nil {
-			phase = phaseMessage
-			pool.Run(len(st.procs))
-			for i, id := range st.procs {
-				st.sendOrd[i] = -1
-				if m := st.msgs[i]; m != nil {
-					st.sendOrd[i] = len(st.senders)
-					st.senders = append(st.senders, id)
-					st.senderMsgs = append(st.senderMsgs, *m)
-				}
-			}
-		} else {
-			for i, id := range st.procs {
-				st.sendOrd[i] = -1
-				if st.sched.CrashedForSend(i, r) || st.halted[i] {
-					continue
-				}
-				if m := st.autos[i].Message(r, st.cm[i]); m != nil {
-					st.sendOrd[i] = len(st.senders)
-					st.senders = append(st.senders, id)
-					st.senderMsgs = append(st.senderMsgs, *m)
-				}
-			}
-		}
-
-		// Adversary planning. A row planner returns its loss matrix with a
-		// row filler, which shards across the pool when there is one (nil
-		// fill — constant plans, v1 schedules — means the matrix is already
-		// complete); a Plan-only adversary returns its DeliveryFunc.
-		if rowPlanner != nil {
-			var fill func(lo, hi int)
-			fill, lost = rowPlanner.PlanRows(r, st.senders, st.procs)
-			switch {
-			case fill == nil:
-			case pool != nil:
-				planFill = fill
-				phase = phasePlan
-				pool.Run(len(st.procs))
-			default:
-				fill(0, len(st.procs))
-			}
-		} else {
-			plan = adversary.Plan(r, st.senders, st.procs)
-		}
-
-		// Delivery, collision advice, arena recording, and state
-		// transitions: sequential, or sharded over the pool for large
-		// systems. Both paths run the identical deliver body over the same
-		// index order semantics, so they produce identical executions.
-		if traceFull {
-			row = arena.BeginRound(r, len(st.senders))
-		}
-		if pool != nil {
-			phase = phaseDeliver
-			pool.Run(len(st.procs))
-		} else {
-			deliver(0, len(st.procs))
-		}
-		if traceFull && parallel {
-			// Receive segments merge into the shared arena in process order
-			// regardless of which worker built them, keeping the recorded
-			// trace deterministic (the sequential path finished each cell
-			// inline).
-			for i := range st.procs {
-				arena.FinishCellRecv(st.recvBuf[i])
-			}
-		}
-
-		if observer != nil {
-			observer.Observe(r, len(st.senders))
-		}
-
-		// Decision bookkeeping and the halting test.
-		allDone := true
-		for i, id := range st.procs {
-			if st.sched.CrashedForDeliver(i, r) {
-				continue
-			}
-			d := st.dec[i]
-			if d == nil {
-				allDone = false
-				continue
-			}
-			if v, has := d.Decided(); has && !st.decided[i] {
-				st.decided[i] = true
-				exec.Decisions[id] = model.Decision{Value: v, Round: r}
-			}
-			if d.Halted() {
-				st.halted[i] = true
-			}
-			if !st.decided[i] {
-				allDone = false
-			}
-		}
-		if allDone && !cfg.RunFullHorizon {
+		if st.round(r) && !cfg.RunFullHorizon {
 			break
 		}
 	}
+	return st.finish(rounds), nil
+}
 
-	// Final sweep: the same liveness rule as the in-loop bookkeeping — only
-	// processes that actually crashed within the executed prefix are exempt
-	// from deciding.
-	allDecided := true
-	for i := range st.procs {
-		if st.sched.CrashedDuring(i, rounds) {
+// round runs round r in the model's order (Definitions 1 and 10–11):
+// contention advice, each process's msg function, the adversary's plan,
+// delivery with collision advice and the transitions, then the decision
+// bookkeeping. It reports whether every live process has decided.
+func (st *runState) round(r int) bool {
+	st.r = r
+	if st.denseCM != nil {
+		st.denseCM.AdviseInto(r, st.procs, st.alive, st.cm)
+	} else {
+		advice := st.manager.Advise(r, st.procs, st.alive)
+		for i, id := range st.procs {
+			st.cm[i] = advice[id]
+		}
+	}
+
+	// Message generation, then one ordered gather that numbers the senders
+	// and moves their messages to the front of msgs (a sender's position
+	// never exceeds its index). The sorted table keeps senders sorted, and
+	// the gather is the same whether the Message calls ran sharded or not.
+	st.each(phaseMessage)
+	st.senders = st.senders[:0]
+	for i, id := range st.procs {
+		if st.sendOrd[i] >= 0 {
+			st.sendOrd[i] = len(st.senders)
+			st.msgs[len(st.senders)] = st.msgs[i]
+			st.senders = append(st.senders, id)
+		}
+	}
+	st.senderMsgs = st.msgs[:len(st.senders)]
+
+	// Adversary planning. A row planner returns its loss matrix with a row
+	// filler (nil — constant plans, v1 schedules — when the matrix is
+	// already complete); a Plan-only adversary returns its DeliveryFunc.
+	if st.rowPlanner != nil {
+		var fill func(lo, hi int)
+		fill, st.lost = st.rowPlanner.PlanRows(r, st.senders, st.procs)
+		if fill != nil {
+			st.fill = fill
+			st.each(phasePlan)
+		}
+	} else {
+		st.plan = st.adversary.Plan(r, st.senders, st.procs)
+	}
+
+	if st.arena != nil {
+		st.row = st.arena.BeginRound(r, len(st.senders))
+	}
+	st.each(phaseDeliver)
+	if st.recvBuf != nil {
+		// Receive segments merge into the shared arena in process order
+		// regardless of which worker built them, keeping the recorded trace
+		// deterministic (the sequential path finished each cell inline).
+		for i := range st.procs {
+			st.arena.FinishCellRecv(st.recvBuf[i])
+		}
+	}
+	if st.observer != nil {
+		st.observer.Observe(r, len(st.senders))
+	}
+
+	// Decision bookkeeping and the halting test.
+	allDone := true
+	for i, id := range st.procs {
+		if st.sched.CrashedForDeliver(i, r) {
 			continue
 		}
+		d := st.dec[i]
+		if d == nil {
+			allDone = false
+			continue
+		}
+		if v, has := d.Decided(); has && !st.decided[i] {
+			st.decided[i] = true
+			st.exec.Decisions[id] = model.Decision{Value: v, Round: r}
+		}
+		if d.Halted() {
+			st.halted[i] = true
+		}
 		if !st.decided[i] {
+			allDone = false
+		}
+	}
+	return allDone
+}
+
+// each runs phase p over every process index: inline, or sharded over the
+// pool. pool.Run's channel handshake orders the phase write before any
+// worker's read, so one pool and one barrier serve every phase.
+func (st *runState) each(p phase) {
+	st.phase = p
+	if st.pool != nil {
+		st.pool.Run(len(st.procs))
+	} else {
+		st.runPhase(0, len(st.procs))
+	}
+}
+
+// runPhase runs the open phase over process indices [lo, hi). Per-process
+// steps are independent, so the pool runs disjoint ranges concurrently.
+func (st *runState) runPhase(lo, hi int) {
+	switch st.phase {
+	case phaseMessage:
+		st.message(lo, hi)
+	case phasePlan:
+		st.fill(lo, hi)
+	default:
+		st.deliver(lo, hi)
+	}
+}
+
+// message runs the msg function (Definition 1) of processes [lo, hi). A
+// live automaton's message lands in its own msgs slot, and sendOrd marks it
+// a sender (0) or silent (-1) until the gather numbers the senders. The
+// slots hold values, not pointers, so the stores need no write barrier.
+func (st *runState) message(lo, hi int) {
+	r := st.r
+	for i := lo; i < hi; i++ {
+		st.sendOrd[i] = -1
+		if st.sched.CrashedForSend(i, r) || st.halted[i] {
+			continue
+		}
+		if m := st.autos[i].Message(r, st.cm[i]); m != nil {
+			st.msgs[i], st.sendOrd[i] = *m, 0
+		}
+	}
+}
+
+// deliver runs the delivery phase of processes [lo, hi): receive sets,
+// collision advice, arena recording, and the automaton transitions.
+func (st *runState) deliver(lo, hi int) {
+	// Locals, so the inner loops read registers rather than the run state.
+	r, row, plan, lost := st.r, st.row, st.plan, st.lost
+	det, arena, perPair := st.det, st.arena, st.rowPlanner == nil
+	senders, senderMsgs := st.senders, st.senderMsgs
+	k := len(senders)
+	for i := lo; i < hi; i++ {
+		id := st.procs[i]
+		if st.sched.CrashedForSend(i, r) {
+			// A crashed process receives nothing; its advice is still part
+			// of the formal CD trace and must be legal for the class, so it
+			// is computed like any other process's.
+			advice := det.Advise(r, id, k, 0)
+			if arena != nil {
+				arena.RecordCell(row, i, nil, advice, st.cm[i], true)
+				if st.recvBuf != nil {
+					st.recvBuf[i] = st.recvBuf[i][:0]
+				} else {
+					arena.FinishCellRecv(nil)
+				}
+			}
+			continue
+		}
+		// Receiver i's loss row: the planner's matrix row, or one filled
+		// from the DeliveryFunc in the order stateful Plan-only adversaries
+		// rely on (senders ascending, no self-pair). A nil row loses
+		// nothing; a broadcaster always hears itself.
+		var lostRow []bool
+		if perPair {
+			lostRow = st.planRow[:k]
+			for j, snd := range senders {
+				lostRow[j] = snd != id && !plan(id, snd)
+			}
+		} else if lost != nil {
+			lostRow = lost[i*k : (i+1)*k]
+		}
+		own := st.sendOrd[i]
+		recv := st.recvs[i]
+		recv.Reset()
+		for j := range senderMsgs {
+			if lostRow == nil || !lostRow[j] || j == own {
+				recv.Add(senderMsgs[j])
+			}
+		}
+		advice := det.Advise(r, id, k, recv.Len())
+		if arena != nil {
+			var sentMsg *model.Message
+			if own >= 0 {
+				sentMsg = &senderMsgs[own]
+			}
+			arena.RecordCell(row, i, sentMsg, advice, st.cm[i], false)
+			if st.recvBuf != nil {
+				st.recvBuf[i] = recv.AppendPairs(st.recvBuf[i][:0])
+			} else {
+				arena.FinishCellFromMultiset(recv)
+			}
+		}
+		if st.sched.CrashedForDeliver(i, r) || st.halted[i] {
+			continue // crashed mid-round or already halted: no transition
+		}
+		st.autos[i].Deliver(r, recv, advice, st.cm[i])
+	}
+}
+
+// finish closes the run after its last round: the final liveness sweep,
+// the once-per-run telemetry, and the Result.
+func (st *runState) finish(rounds int) *Result {
+	// The in-round liveness rule: only processes that crashed within the
+	// executed prefix are exempt from deciding.
+	allDecided := true
+	for i := range st.procs {
+		if !st.decided[i] && !st.sched.CrashedDuring(i, rounds) {
 			allDecided = false
 			break
 		}
 	}
 	// Telemetry publishes once per run, not per round: when disabled every
 	// call below is a nil-receiver no-op, and even when enabled the round
-	// loop itself stays untouched.
+	// step itself stays untouched.
 	em := telemetry.Engine()
 	em.Runs.Inc()
 	em.Rounds.Add(uint64(rounds))
-	if parallel {
+	if st.pool != nil {
 		em.RoundsParallel.Add(uint64(rounds))
-		dispatches, shards := pool.Stats()
+		dispatches, shards := st.pool.Stats()
 		em.PoolDispatches.Add(dispatches)
 		em.PoolShards.Add(shards)
 	} else {
 		em.RoundsSequential.Add(uint64(rounds))
 	}
-
 	return &Result{
-		Execution:  exec,
+		Execution:  st.exec,
 		Rounds:     rounds,
-		Decisions:  exec.Decisions,
+		Decisions:  st.exec.Decisions,
 		AllDecided: allDecided,
-	}, nil
+	}
+}
+
+// release stops the shard workers and returns the receive sets to their
+// pool. Run defers it, so a stopped or panicking run releases too.
+func (st *runState) release() {
+	if st.pool != nil {
+		st.pool.Close()
+	}
+	for _, rs := range st.recvs {
+		rs.Reset()
+		recvPool.Put(rs)
+	}
 }
 
 // CheckAgreement verifies that no two processes decided different values

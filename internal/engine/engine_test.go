@@ -753,6 +753,33 @@ func TestDecisionsOnlySteadyStateAllocations(t *testing.T) {
 	}
 }
 
+// TestRunFixedAllocations audits Run's fixed cost per run: set-up, the
+// round step's run state and the finish. A 2-process decisions-only run
+// (the TestDecisionsOnlySteadyStateAllocations system, automata and
+// process map included) allocates at most 25 objects: round state lives
+// in runState fields, so none of it moves to the heap on its own.
+func TestRunFixedAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop puts, so receive sets are reallocated")
+	}
+	run := func() {
+		d1 := &decideAfter{value: 1, round: 1}
+		d2 := &decideAfter{value: 1, round: 1}
+		if _, err := Run(Config{
+			Procs:          map[model.ProcessID]model.Automaton{1: d1, 2: d2},
+			MaxRounds:      8,
+			RunFullHorizon: true,
+			Trace:          TraceDecisionsOnly,
+		}); err != nil {
+			t.Error(err)
+		}
+	}
+	run() // warm the receive-set pool
+	if allocs := testing.AllocsPerRun(20, run); allocs > 25 {
+		t.Fatalf("a 2-process decisions-only run allocates %.0f objects, want at most 25", allocs)
+	}
+}
+
 func TestCheckTerminationCatchesUndecided(t *testing.T) {
 	b := &beacon{value: 1}
 	res, err := Run(Config{

@@ -1,13 +1,12 @@
 package engine
 
 // shardPool runs one fixed function over contiguous index shards on a set
-// of persistent worker goroutines. The engine's Run uses it to split each
-// round's message, loss-plan, and delivery phases across cores: the pool is
-// created once per run (so round dispatch allocates nothing), Run blocks
-// until every shard completes (the round barrier), and the shard boundaries
-// depend only on (n, workers) — combined with per-index-independent work
-// functions this makes the parallel rounds byte-identical to sequential
-// ones at any worker count.
+// of persistent worker goroutines. The round step runs each per-process
+// phase through it (runState.runPhase): the pool is created once per run
+// (so round dispatch allocates nothing), Run blocks until every shard
+// completes (the round barrier), and the shard boundaries depend only on
+// (n, workers), so with per-index-independent phases the sharded rounds
+// are byte-identical to sequential ones at any worker count.
 //
 // A panic inside fn (an automaton panicking mid-delivery) does not kill the
 // worker goroutine or deadlock the barrier: the worker recovers it, the

@@ -69,9 +69,9 @@ func TestEmitSeqScopeAndClock(t *testing.T) {
 }
 
 func TestBatchSpansNestInSegment(t *testing.T) {
-	j := New(Options{Capacity: 64, Clock: tickClock(), BatchEvery: 4})
-	if j.BatchEvery() != 4 {
-		t.Fatalf("BatchEvery() = %d, want 4", j.BatchEvery())
+	j := New(Options{Capacity: 64, Clock: tickClock()})
+	if j.BatchEvery() != 256 {
+		t.Fatalf("BatchEvery() = %d, want 256", j.BatchEvery())
 	}
 	j.BeginJob(1)
 	sspan := j.BeginSegment("seg")

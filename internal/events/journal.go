@@ -9,17 +9,18 @@ import (
 	"adhocconsensus/internal/telemetry"
 )
 
-// Options configures a Journal. The zero value is usable: capacity 8192,
-// wall clock, 256-trial batches.
+// Options configures a Journal. The zero value is usable: capacity 8192
+// and the wall clock.
 type Options struct {
 	// Capacity bounds the ring buffer, rounded up to a power of two.
 	Capacity int
 	// Clock supplies event timestamps; tests inject a deterministic one.
 	Clock func() time.Time
-	// BatchEvery is how many delivered trials a trial-batch span covers
-	// before it closes and a new one opens.
-	BatchEvery int
 }
+
+// batchEvery is how many delivered trials a trial-batch span covers before
+// it closes and a new one opens.
+const batchEvery = 256
 
 // scope is the journal's current execution context: the job and segment
 // spans the single execution slot is inside. It is published as one
@@ -37,13 +38,12 @@ type scope struct {
 // BeginSegment, batch spans) must be driven by a single execution slot at
 // a time, which the job supervisor already guarantees.
 type Journal struct {
-	clock      func() time.Time
-	batchEvery int
-	mask       uint64
-	ring       []atomic.Pointer[Event]
-	seq        atomic.Uint64
-	spanID     atomic.Uint64
-	scope      atomic.Pointer[scope]
+	clock  func() time.Time
+	mask   uint64
+	ring   []atomic.Pointer[Event]
+	seq    atomic.Uint64
+	spanID atomic.Uint64
+	scope  atomic.Pointer[scope]
 
 	submu    sync.Mutex
 	subs     atomic.Pointer[[]*Subscription]
@@ -64,15 +64,10 @@ func New(opts Options) *Journal {
 	if clock == nil {
 		clock = time.Now
 	}
-	batch := opts.BatchEvery
-	if batch <= 0 {
-		batch = 256
-	}
 	return &Journal{
-		clock:      clock,
-		batchEvery: batch,
-		mask:       uint64(size - 1),
-		ring:       make([]atomic.Pointer[Event], size),
+		clock: clock,
+		mask:  uint64(size - 1),
+		ring:  make([]atomic.Pointer[Event], size),
 	}
 }
 
@@ -94,7 +89,7 @@ func (j *Journal) BatchEvery() int {
 	if j == nil {
 		return 1 << 30
 	}
-	return j.batchEvery
+	return batchEvery
 }
 
 // Seq returns the last assigned sequence number (0 before any event).

@@ -132,6 +132,48 @@ func TestSupervisedJobJournalReconcilesWithReport(t *testing.T) {
 	}
 }
 
+// TestInterruptedStreamReportsWholePlan: a stream cut short still reports
+// every segment of its plan, so trials.planned is the invocation's total.
+// The segment the interrupt kept from starting carries its planned length
+// and salvaged count, executes nothing, and opens no journal span.
+func TestInterruptedStreamReportsWholePlan(t *testing.T) {
+	j := withJournal(t)
+	segs, err := jobs.ExperimentSegments([]string{"T1", "T3"}, 0, 1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	skips := []int{0, 3}
+	out := jobs.Stream(ctx, segs, skips, io.Discard, nil)
+	if out.AbortErr == nil {
+		t.Fatal("a canceled stream did not abort")
+	}
+	rep := jobs.BuildReport("test", jobs.StatusOf(out.AbortErr, out.TrialErr), 0, out.Segments, out.Causes)
+	if err := rep.Validate(); err != nil {
+		t.Fatalf("interrupted report does not validate: %v", err)
+	}
+	planned := segs[0].Length + segs[1].Length
+	if len(rep.Segments) != 2 || rep.Trials.Planned != planned || planned != 24 {
+		t.Fatalf("report lists %d segments and %d planned, want 2 and %d (24)", len(rep.Segments), rep.Trials.Planned, planned)
+	}
+	if s := rep.Segments[1]; s.Name != "T3" || s.Planned != segs[1].Length || s.Salvaged != 3 || s.Executed != 0 || s.WallNs != 0 {
+		t.Errorf("unstarted segment reported as %+v", s)
+	}
+	var begins, ends []events.Event
+	for _, e := range j.Snapshot(0) {
+		switch e.Type {
+		case "segment.begin":
+			begins = append(begins, e)
+		case "segment.end":
+			ends = append(ends, e)
+		}
+	}
+	if len(begins) != 1 || begins[0].Seg != "T1" || len(ends) != 1 || ends[0].Span != begins[0].Span {
+		t.Errorf("segment spans: begins %+v, ends %+v; want one T1 span", begins, ends)
+	}
+}
+
 // TestRetriedJobJournalIsPerAttempt: the persisted journal truncates per
 // attempt, exactly like the run report — after transient failures the file
 // describes the final attempt (opening with its retry point), never a

@@ -40,7 +40,10 @@ func (o Outcome) Err() error {
 // do not stop the run — later segments still execute and the first such
 // error lands in TrialErr. Everything else — sink failures, interrupts —
 // aborts, leaving the flushed valid prefix on disk. onEnter (when non-nil)
-// observes each segment as it starts, for progress rendering.
+// observes each segment as it starts, for progress rendering. The outcome
+// lists every segment of the plan: one the abort kept from starting
+// carries its planned length and salvaged count, executes nothing, and
+// opens no journal span.
 //
 // Stream owns each segment's *sink.JSONL: it creates it over w, flushes it,
 // and reads the segment's executed, quarantined and record-byte counts from
@@ -53,6 +56,12 @@ func Stream(ctx context.Context, segs []Segment, skips []int, w io.Writer, onEnt
 	panicBase, deadlineBase := tm.QuarantinePanic.Load(), tm.QuarantineDeadline.Load()
 	out := Outcome{Segments: make([]telemetry.ReportSegment, 0, len(segs))}
 	for i, s := range segs {
+		if out.AbortErr != nil {
+			out.Segments = append(out.Segments, telemetry.ReportSegment{
+				Name: s.Name, Schedule: s.Schedule, Planned: s.Length, Salvaged: skips[i],
+			})
+			continue
+		}
 		if onEnter != nil {
 			onEnter(s.Name)
 		}
@@ -89,7 +98,6 @@ func Stream(ctx context.Context, segs []Segment, skips []int, w io.Writer, onEnt
 		}
 		jal.EndSegment(span, int64(executed), "abort")
 		out.AbortErr = fmt.Errorf("%s: %w", s.Name, err)
-		break
 	}
 	out.Causes = telemetry.ReportQuarantine{
 		Panic:    int(tm.QuarantinePanic.Load() - panicBase),

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -20,35 +21,35 @@ func activateJournal(t *testing.T, opts events.Options) *events.Journal {
 }
 
 // TestSweepEmitsBatchSpansAndQuarantinePoints: the runner journals trial
-// progress as batch spans of BatchEvery delivered trials — never per round —
-// and each quarantined trial as one point naming its cause, reconciling with
-// the quarantine counters.
+// progress as batch spans of BatchEvery() (256) delivered trials — never
+// per round — and each quarantined trial as one point naming its cause,
+// reconciling with the quarantine counters.
 func TestSweepEmitsBatchSpansAndQuarantinePoints(t *testing.T) {
-	j := activateJournal(t, events.Options{BatchEvery: 2, Clock: func() time.Time { return time.Unix(0, 1) }})
+	j := activateJournal(t, events.Options{Clock: func() time.Time { return time.Unix(0, 1) }})
 	const bombed = 3
-	grid := quarantineGrid(bombed)
+	grid := quarantineGridN(600, bombed)
 	if _, err := (Runner{Workers: 4}).Sweep(grid); err == nil {
 		t.Fatal("bombed grid returned no TrialError")
 	}
 	evs := j.Snapshot(0)
 	c := events.CountTypes(evs)
-	// 6 trials in batches of 2: exactly 3 begin/end pairs, each end carrying
-	// its delivered count.
+	// 600 trials in batches of 256: exactly 3 begin/end pairs, each end
+	// carrying its delivered count.
 	if c["batch.begin"] != 3 || c["batch.end"] != 3 {
-		t.Fatalf("batch spans %v, want 3 begin/end pairs for 6 trials at BatchEvery=2", c)
+		t.Fatalf("batch spans %v, want 3 begin/end pairs for 600 trials at BatchEvery()=%d", c, j.BatchEvery())
 	}
-	var delivered int64
+	var spans []int64
 	var quarantine []events.Event
 	for _, e := range evs {
 		switch e.Type {
 		case "batch.end":
-			delivered += e.N
+			spans = append(spans, e.N)
 		case events.TypeQuarantine:
 			quarantine = append(quarantine, e)
 		}
 	}
-	if delivered != int64(len(grid)) {
-		t.Errorf("batch.end events account for %d trials, want %d", delivered, len(grid))
+	if want := []int64{256, 256, 88}; !slices.Equal(spans, want) {
+		t.Errorf("batch.end events carry %v trials, want %v", spans, want)
 	}
 	if len(quarantine) != 1 {
 		t.Fatalf("%d quarantine points, want 1", len(quarantine))

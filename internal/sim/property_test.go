@@ -7,6 +7,7 @@ import (
 	"adhocconsensus/internal/engine"
 	"adhocconsensus/internal/model"
 	"adhocconsensus/internal/seedstream"
+	"adhocconsensus/internal/valueset"
 )
 
 // TestGeneratedSystemsSatisfyTheModel is a property test over generated
@@ -17,7 +18,10 @@ import (
 // round), a detector false-positive rate, and an optional crash, all
 // recorded with TraceFull. Every execution must satisfy the structural
 // constraints of Definition 11 (Validate), its detector class
-// (detector.CheckExecution), agreement, and strong validity.
+// (detector.CheckExecution), agreement, and strong validity. An Alg 1 or
+// Alg 2 system with ECF from CST and no crash must also terminate within
+// the bound T2 or T3 renders: Theorem 1's CST+2 or Theorem 2's
+// CST+2(⌈lg|V|⌉+1), each plus one round of phase-alignment slack.
 func TestGeneratedSystemsSatisfyTheModel(t *testing.T) {
 	algs := []struct {
 		alg   Algorithm
@@ -31,6 +35,7 @@ func TestGeneratedSystemsSatisfyTheModel(t *testing.T) {
 	modes := []LossMode{LossNone, LossProbabilistic, LossCapture, LossDrop}
 	rng := seedstream.NewV1(20)
 	const systems = 400
+	bounded := 0
 	for i := 0; i < systems; i++ {
 		a := algs[i%len(algs)]
 		n := 2 + rng.Intn(5)
@@ -81,5 +86,28 @@ func TestGeneratedSystemsSatisfyTheModel(t *testing.T) {
 				t.Fatalf("system %d (%+v): %v\n%s", i, s, err, res.Execution)
 			}
 		}
+		if s.ECFRound != cst || s.Crashes != nil {
+			continue
+		}
+		var bound int
+		switch a.alg {
+		case AlgPropose:
+			bound = cst + 3
+		case AlgBitByBit:
+			bound = cst + 2*(valueset.MustDomain(domain).BitWidth()+1) + 1
+		default:
+			continue
+		}
+		bounded++
+		for _, id := range res.Execution.Procs {
+			if d, ok := res.Decisions[id]; !ok || d.Round > bound {
+				t.Fatalf("system %d (%+v): process %d decided %+v (decided=%v), want by round %d\n%s",
+					i, s, id, d, ok, bound, res.Execution)
+			}
+		}
 	}
+	if bounded == 0 {
+		t.Fatal("no generated system fell under a termination bound")
+	}
+	t.Logf("%d of %d systems checked against a termination bound", bounded, systems)
 }

@@ -34,9 +34,12 @@ func (spinProc) Deliver(r int, recv *model.RecvSet, cd model.CDAdvice, cm model.
 
 // quarantineGrid is a healthy grid with one trial hosting a panicking
 // automaton.
-func quarantineGrid(bombed int) []Scenario {
+func quarantineGrid(bombed int) []Scenario { return quarantineGridN(6, bombed) }
+
+// quarantineGridN is quarantineGrid with n trials.
+func quarantineGridN(n, bombed int) []Scenario {
 	var scs []Scenario
-	for i := 0; i < 6; i++ {
+	for i := 0; i < n; i++ {
 		s := Scenario{
 			Name:      "robust/q",
 			Algorithm: AlgPropose,

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 )
 
@@ -46,18 +47,22 @@ type Report struct {
 	// Calibration republishes engine.Calibrate's numbers for the host that
 	// ran the sweep.
 	Calibration *ReportCalibration `json:"calibration,omitempty"`
-	// Histograms carries the run's latency and decision-round
-	// distributions under their metric names.
+	// Histograms carries the process registry's latency and decision-round
+	// distributions at run end, under their metric names. They are
+	// cumulative over the process, not the run's alone: under sweepd they
+	// include every earlier job of the same daemon process.
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	// Metrics is the full registry snapshot at run end.
+	// Metrics is the process registry's other metrics at run end, as
+	// cumulative as Histograms.
 	Metrics map[string]any `json:"metrics,omitempty"`
 }
 
 // ReportTrials summarizes the run's trial accounting.
 type ReportTrials struct {
-	// Planned is the invocation's total trial count across segments;
-	// Salvaged were already durable from a resumed file; Executed ran in
-	// this invocation.
+	// Planned is the invocation's total trial count: the sum over every
+	// segment of its plan, including segments an abort or interrupt kept
+	// from starting. Salvaged were already durable from a resumed file;
+	// Executed ran in this invocation.
 	Planned  int `json:"planned"`
 	Salvaged int `json:"salvaged"`
 	Executed int `json:"executed"`
@@ -144,12 +149,17 @@ func (r *Report) Validate() error {
 			return fmt.Errorf("telemetry: segment %s has a negative count (%d/%d/%d/%d planned/salvaged/executed/quarantined)",
 				s.Name, s.Planned, s.Salvaged, s.Executed, s.Quarantined)
 		}
-		if s.Salvaged+s.Executed > s.Planned {
+		// Compared without adding, so no count can overflow past the check.
+		if s.Salvaged > s.Planned || s.Executed > s.Planned-s.Salvaged {
 			return fmt.Errorf("telemetry: segment %s accounts %d salvaged + %d executed > %d planned",
 				s.Name, s.Salvaged, s.Executed, s.Planned)
 		}
 		if s.Quarantined > s.Executed {
 			return fmt.Errorf("telemetry: segment %s quarantined %d > executed %d", s.Name, s.Quarantined, s.Executed)
+		}
+		// Every other sum is bounded by the planned sum.
+		if s.Planned > math.MaxInt-planned {
+			return fmt.Errorf("telemetry: segments plan more than %d trials", math.MaxInt)
 		}
 		planned += s.Planned
 		salvaged += s.Salvaged
@@ -167,11 +177,12 @@ func (r *Report) Validate() error {
 	if q := t.Quarantined; min(q.Panic, q.Deadline, q.Other) < 0 {
 		return fmt.Errorf("telemetry: negative quarantine cause count (panic %d, deadline %d, other %d)", q.Panic, q.Deadline, q.Other)
 	}
-	if sum := t.Quarantined.Panic + t.Quarantined.Deadline + t.Quarantined.Other; sum != t.Quarantined.Total {
-		return fmt.Errorf("telemetry: quarantine causes sum to %d, total is %d", sum, t.Quarantined.Total)
+	if q := t.Quarantined; q.Panic > q.Total || q.Deadline > q.Total-q.Panic || q.Other != q.Total-q.Panic-q.Deadline {
+		return fmt.Errorf("telemetry: quarantine causes sum (panic %d + deadline %d + other %d) is not the total %d",
+			q.Panic, q.Deadline, q.Other, q.Total)
 	}
 	if r.Status == StatusOK {
-		if t.Salvaged+t.Executed != t.Planned {
+		if t.Executed != t.Planned-t.Salvaged {
 			return fmt.Errorf("telemetry: status ok but %d of %d trials durable", t.Salvaged+t.Executed, t.Planned)
 		}
 		if t.Quarantined.Total != 0 {
@@ -181,6 +192,9 @@ func (r *Report) Validate() error {
 	for name, h := range r.Histograms {
 		var n uint64
 		for _, b := range h.Buckets {
+			if b.Count > h.Count-n {
+				return fmt.Errorf("telemetry: histogram %s buckets sum past its count %d", name, h.Count)
+			}
 			n += b.Count
 		}
 		if n != h.Count {
@@ -190,14 +204,20 @@ func (r *Report) Validate() error {
 	return nil
 }
 
-// WriteFile marshals the report (indented, trailing newline) to path.
+// WriteFile validates the report and writes its encoding to path.
 func (r *Report) WriteFile(path string) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	b, err := json.MarshalIndent(r, "", "  ")
+	b, err := r.encode()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return os.WriteFile(path, b, 0o644)
+}
+
+// encode is the report's file form: indented JSON with a trailing newline.
+func (r *Report) encode() ([]byte, error) {
+	b, err := json.MarshalIndent(r, "", "  ")
+	return append(b, '\n'), err
 }

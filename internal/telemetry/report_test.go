@@ -1,9 +1,13 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
+	"math/big"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -86,6 +90,20 @@ func TestReportValidateRejects(t *testing.T) {
 			h := r.Histograms["sim.trial.wall_ns"]
 			h.Count = 7
 			r.Histograms["sim.trial.wall_ns"] = h
+		}, "buckets sum"},
+		// Sums that wrap in int or uint64 arithmetic.
+		{"salvaged-executed-overflow", func(r *Report) { *r = *overflowReport() }, "salvaged"},
+		{"planned-overflow", func(r *Report) {
+			*r = *interruptedReport()
+			r.Segments[0].Planned, r.Segments[1].Planned = math.MaxInt, 1
+		}, "plan more than"},
+		{"cause-overflow", func(r *Report) {
+			r.Status = StatusTrialErrors
+			r.Segments[1].Quarantined = 1
+			r.Trials.Quarantined = ReportQuarantine{Total: 1, Panic: math.MaxInt, Deadline: 1, Other: 1}
+		}, "causes sum"},
+		{"bucket-overflow", func(r *Report) {
+			r.Histograms["sim.trial.wall_ns"] = HistogramSnapshot{Count: 1, Buckets: []HistogramBucket{{Le: 1, Count: math.MaxUint64}, {Le: 3, Count: 2}}}
 		}, "buckets sum"},
 	}
 	for _, tc := range cases {
@@ -190,4 +208,124 @@ func TestParseReportRejectsGarbage(t *testing.T) {
 	if _, err := ParseReport(b); err == nil {
 		t.Fatal("empty report validated")
 	}
+}
+
+// interruptedReport is the report of a two-experiment run (T1, T3) whose
+// context was canceled as T1 started: T1 executed nothing and T3 never
+// started, yet both segments count towards planned.
+func interruptedReport() *Report {
+	return &Report{
+		Schema:  ReportSchema,
+		Command: "sweeprun run",
+		Status:  StatusInterrupted,
+		Trials:  ReportTrials{Planned: 24},
+		Segments: []ReportSegment{
+			{Name: "T1", Schedule: 2, Planned: 12, WallNs: 40000},
+			{Name: "T3", Schedule: 2, Planned: 12},
+		},
+	}
+}
+
+// overflowReport accounts a segment whose salvaged and executed counts sum
+// past the largest int, which wraps negative in int arithmetic.
+func overflowReport() *Report {
+	return &Report{
+		Schema:   ReportSchema,
+		Command:  "sweeprun run",
+		Status:   StatusInterrupted,
+		Trials:   ReportTrials{Salvaged: math.MaxInt, Executed: 1},
+		Segments: []ReportSegment{{Name: "T3", Salvaged: math.MaxInt, Executed: 1}},
+	}
+}
+
+// FuzzParseReport: any input is either rejected, or it decodes to a report
+// whose segment and total accounting holds in overflow-free arithmetic and
+// which re-encodes, as WriteFile does, to bytes that parse back equal.
+func FuzzParseReport(f *testing.F) {
+	for _, r := range []*Report{validReport(), interruptedReport(), overflowReport()} {
+		b, err := json.MarshalIndent(r, "", "  ")
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := ParseReport(data)
+		if err != nil {
+			return
+		}
+		checkAccounting(t, r)
+		b, err := r.encode()
+		if err != nil {
+			t.Fatalf("accepted report does not encode: %v", err)
+		}
+		back, err := ParseReport(b)
+		if err != nil {
+			t.Fatalf("re-encoded report does not parse: %v\n%s", err, b)
+		}
+		if b2, _ := back.encode(); !bytes.Equal(b, b2) || !reflect.DeepEqual(withoutEmpty(r), withoutEmpty(back)) {
+			t.Fatalf("report changed across encode and parse:\n%+v\n%+v", r, back)
+		}
+	})
+}
+
+// checkAccounting re-derives Validate's accounting invariants in big-integer
+// arithmetic, where no sum can wrap.
+func checkAccounting(t *testing.T, r *Report) {
+	t.Helper()
+	n := func(v int) *big.Int { return big.NewInt(int64(v)) }
+	add := func(a, b *big.Int) *big.Int { return new(big.Int).Add(a, b) }
+	planned, salvaged, executed, quarantined := n(0), n(0), n(0), n(0)
+	for _, s := range r.Segments {
+		if min(s.Planned, s.Salvaged, s.Executed, s.Quarantined) < 0 {
+			t.Fatalf("segment %s has a negative count: %+v", s.Name, s)
+		}
+		if add(n(s.Salvaged), n(s.Executed)).Cmp(n(s.Planned)) > 0 || s.Quarantined > s.Executed {
+			t.Fatalf("segment %s accounts more trials than it planned: %+v", s.Name, s)
+		}
+		planned, salvaged = add(planned, n(s.Planned)), add(salvaged, n(s.Salvaged))
+		executed, quarantined = add(executed, n(s.Executed)), add(quarantined, n(s.Quarantined))
+	}
+	tr := r.Trials
+	if n(tr.Planned).Cmp(planned) != 0 || n(tr.Salvaged).Cmp(salvaged) != 0 ||
+		n(tr.Executed).Cmp(executed) != 0 || n(tr.Quarantined.Total).Cmp(quarantined) != 0 {
+		t.Fatalf("totals %+v disagree with segment sums %v/%v/%v/%v", tr, planned, salvaged, executed, quarantined)
+	}
+	q := tr.Quarantined
+	if min(q.Panic, q.Deadline, q.Other) < 0 || add(add(n(q.Panic), n(q.Deadline)), n(q.Other)).Cmp(n(q.Total)) != 0 {
+		t.Fatalf("quarantine causes %+v do not sum to the total", q)
+	}
+	if r.Status == StatusOK && (add(salvaged, executed).Cmp(planned) != 0 || q.Total != 0) {
+		t.Fatalf("status ok with trials %+v", tr)
+	}
+	for name, h := range r.Histograms {
+		sum := new(big.Int)
+		for _, b := range h.Buckets {
+			sum.Add(sum, new(big.Int).SetUint64(b.Count))
+		}
+		if sum.Cmp(new(big.Int).SetUint64(h.Count)) != 0 {
+			t.Fatalf("histogram %s buckets sum to %v, count is %d", name, sum, h.Count)
+		}
+	}
+}
+
+// withoutEmpty returns a copy of r with its empty omitempty maps and slices
+// set to nil: encoding omits them, so they parse back as nil.
+func withoutEmpty(r *Report) Report {
+	c := *r
+	if len(c.Histograms) == 0 {
+		c.Histograms = nil
+	} else {
+		c.Histograms = make(map[string]HistogramSnapshot, len(r.Histograms))
+		for name, h := range r.Histograms {
+			if len(h.Buckets) == 0 {
+				h.Buckets = nil
+			}
+			c.Histograms[name] = h
+		}
+	}
+	if len(c.Metrics) == 0 {
+		c.Metrics = nil
+	}
+	return c
 }
