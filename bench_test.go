@@ -309,6 +309,9 @@ func benchRounds(b *testing.B, n int, trace engine.TraceMode, workers int) {
 			RunFullHorizon:  true,
 			Trace:           trace,
 			DeliveryWorkers: workers,
+			// The threshold the row filter above names, not the one each
+			// process calibrates: a w>1 row always measures the sharded path.
+			DeliveryMinProcs: engine.DefaultDeliveryMinProcs,
 		}
 		res, err := engine.Run(cfg)
 		if err != nil {

@@ -10,10 +10,10 @@
 //
 // # Hot path
 //
-// Run is set-up (newRunState), a loop over one round step
-// ((*runState).round), and a finish. The round step runs the model's order
-// — contention advice, messages, the adversary's plan, delivery, decision
-// bookkeeping — over one runState holding the run's components, its dense
+// A run is set-up (State.reset), a loop over one round step
+// ((*State).round), and a finish. The round step runs the model's order —
+// contention advice, messages, the adversary's plan, delivery, decision
+// bookkeeping — over one State holding the run's components, its dense
 // per-process buffers and the open round, so no closure captures round
 // state and steady-state rounds allocate nothing; receive multisets are
 // pooled and reset in place. The delivery loop reads each receiver's loss
@@ -25,6 +25,26 @@
 // records every view into a columnar model.TraceArena, allocation-free in
 // steady state too. Both modes drive the detector, manager, and adversary
 // through identical call sequences, so they produce identical decisions.
+//
+// # State reuse
+//
+// Run is new(State).Run. A caller that runs many systems one after another
+// (a sweep worker) keeps one State instead: its Run resets the process
+// table, the dense buffers, the crash columns, the execution and the
+// Result in place, each sized at the new system's process count, so a warm
+// State allocates only when that count grows. Nothing of the previous run
+// reaches the next one: every buffer is overwritten or cleared by the
+// reset or by the round that reads it. The Result, and the Execution it
+// points to, belong to the State and are valid only until its next Run.
+//
+// Three things stay per run. Receive sets come from the package's pool at
+// the start of a run and go back at the end, so an owner that lives for a
+// few large trials (a sweep job of eight n=256 trials) still finds sets
+// whose storage earlier runs grew, where sets of its own would be grown
+// anew by every such owner. A full trace's arena comes from model's
+// shape-keyed pool, because the caller owns the recorded trace until it
+// calls Execution.Release. The shard pool's goroutines start and stop with
+// the run, so a State holds no goroutine between runs.
 //
 // # Parallel delivery
 //
@@ -176,21 +196,22 @@ type Result struct {
 	AllDecided bool
 }
 
-// runState is one run: its components, the dense per-process buffers of
-// the hot loop (indexed by position in the sorted procs table), and the
-// open round, held in fields rather than closure captures. Run builds it
-// (newRunState), steps it (round), and closes it (finish).
-type runState struct {
+// State is a run's reusable state: its components, the dense per-process
+// buffers of the hot loop (indexed by position in the sorted procs table),
+// the open round, held in fields rather than closure captures, and the
+// execution and Result it fills. Run resets it (reset), steps it (round),
+// and closes it (finish). The zero State is ready to use; a State runs one
+// system at a time.
+type State struct {
 	det        *detector.Detector
 	manager    cm.Service
 	denseCM    cm.DenseAdviser // manager's allocation-free form, if any
 	observer   cm.Observer     // manager's broadcast-count hook, if any
 	adversary  loss.Adversary
-	rowPlanner loss.ConcurrentPlanner // nil: ask adversary.Plan per pair
-	exec       *model.Execution
+	rowPlanner loss.ConcurrentPlanner     // nil: ask adversary.Plan per pair
 	arena      *model.TraceArena          // nil under TraceDecisionsOnly
 	pool       *shardPool                 // nil on the sequential path
-	alive      func(model.ProcessID) bool // aliveForCM, bound once per run
+	alive      func(model.ProcessID) bool // aliveForCM, bound once per State
 
 	procs []model.ProcessID // sorted process table
 	autos []model.Automaton
@@ -216,6 +237,9 @@ type runState struct {
 	lost  []bool            // from a row planner; nil loses nothing
 	fill  func(lo, hi int)  // the row planner's matrix filler, for phasePlan
 	phase phase             // what runPhase runs
+
+	exec model.Execution
+	res  Result
 }
 
 // phase names the per-process work a round hands runPhase.
@@ -227,26 +251,22 @@ const (
 	phasePlan
 )
 
-// newRunState sets a run up: component defaults, the sorted process table
-// and dense buffers, the trace arena, the pooled receive sets, and the
-// shard pool when the run shards.
-func newRunState(cfg *Config, maxRounds int) *runState {
-	n := len(cfg.Procs)
-	st := &runState{
-		det:       cfg.Detector,
-		manager:   cfg.CM,
-		adversary: cfg.Loss,
-		procs:     make([]model.ProcessID, 0, n),
-		autos:     make([]model.Automaton, n),
-		dec:       make([]model.Decider, n),
-		halted:    make([]bool, n),
-		decided:   make([]bool, n),
-		cm:        make([]model.CMAdvice, n),
-		msgs:      make([]model.Message, n),
-		sendOrd:   make([]int, n),
-		senders:   make([]model.ProcessID, 0, n),
-		recvs:     make([]*model.RecvSet, n),
+// resize returns s with length n, reusing its memory when it holds n
+// entries. A short slice is replaced at length n, never grown by append, so
+// a fresh State pays one allocation per buffer.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
+}
+
+// reset sets a run up: component defaults, the sorted process table and
+// dense buffers, the crash columns, the execution, the trace arena, the
+// pooled receive sets, and the shard pool when the run shards.
+func (st *State) reset(cfg *Config, maxRounds int) {
+	n := len(cfg.Procs)
+	st.det, st.manager, st.adversary = cfg.Detector, cfg.CM, cfg.Loss
 	if st.det == nil {
 		st.det = detector.New(detector.AC)
 	}
@@ -258,49 +278,77 @@ func newRunState(cfg *Config, maxRounds int) *runState {
 	}
 	st.denseCM, _ = st.manager.(cm.DenseAdviser)
 	st.observer, _ = st.manager.(cm.Observer)
-	st.alive = st.aliveForCM
+	if st.alive == nil {
+		st.alive = st.aliveForCM
+	}
+	st.procs = resize(st.procs, n)[:0]
 	for id := range cfg.Procs {
 		st.procs = append(st.procs, id)
 	}
 	slices.Sort(st.procs)
+	st.autos = resize(st.autos, n)
+	st.dec = resize(st.dec, n)
 	for i, id := range st.procs {
 		st.autos[i] = cfg.Procs[id]
-		if d, ok := cfg.Procs[id].(model.Decider); ok {
-			st.dec[i] = d
-		}
+		st.dec[i], _ = st.autos[i].(model.Decider)
 	}
-	st.sched = cfg.Crashes.Dense(st.procs)
-	st.exec = model.NewExecution(st.procs, cfg.Initial)
-	workers := resolveDeliveryWorkers(cfg, n, st.det, st.adversary)
+	st.sched.Compile(cfg.Crashes, st.procs)
+	st.halted = resize(st.halted, n)
+	st.decided = resize(st.decided, n)
+	clear(st.halted)
+	clear(st.decided)
+	st.cm = resize(st.cm, n)
+	st.msgs = resize(st.msgs, n)
+	st.sendOrd = resize(st.sendOrd, n)
+	st.senders = resize(st.senders, n)[:0]
+	st.recvs = resize(st.recvs, n)
+	for i := range st.recvs {
+		st.recvs[i] = recvPool.Get().(*model.RecvSet)
+	}
+
+	st.rowPlanner, st.plan, st.lost, st.fill = nil, nil, nil, nil
 	if loss.ConcurrentSafe(st.adversary) {
 		st.rowPlanner = st.adversary.(loss.ConcurrentPlanner)
 	} else {
-		st.planRow = make([]bool, n)
+		st.planRow = resize(st.planRow, n)
 	}
+	workers := resolveDeliveryWorkers(cfg, n, st.det, st.adversary)
+	st.arena = nil
 	if cfg.Trace == TraceFull {
 		// Acquired from the shape-keyed reuse pool: callers that digest the
 		// trace and call Execution.Release recycle the columns run to run.
 		st.arena = model.AcquireTraceArena(n, maxRounds)
-		st.exec.Arena = st.arena
 		if workers > 1 {
 			// Shard workers snapshot receive sets into per-process buffers;
 			// the sequential path appends straight into the arena instead.
-			st.recvBuf = make([][]model.RecvEntry, n)
+			st.recvBuf = resize(st.recvBuf, n)
 		}
 	}
-	for i := range st.recvs {
-		st.recvs[i] = recvPool.Get().(*model.RecvSet)
-	}
+	st.pool = nil
 	if workers > 1 {
 		st.pool = newShardPool(workers, st.runPhase)
 	}
-	return st
+
+	// The execution shares the sorted table. Initial is copied, so a caller
+	// that edits its map after Run does not rewrite the record.
+	if st.exec.Decisions == nil {
+		st.exec.Decisions = make(map[model.ProcessID]model.Decision, n)
+		st.exec.Initial = make(map[model.ProcessID]model.Value, len(cfg.Initial))
+	} else {
+		clear(st.exec.Decisions)
+		clear(st.exec.Initial)
+	}
+	for id, v := range cfg.Initial {
+		st.exec.Initial[id] = v
+	}
+	st.exec.Procs = st.procs[:n:n]
+	st.exec.Arena = st.arena
 }
 
 // position returns id's index in the sorted process table, and false for
 // an ID outside it. A contiguous table (sim builds 1..n) answers by offset;
 // any other falls back to binary search.
-func (st *runState) position(id model.ProcessID) (int, bool) {
+func (st *State) position(id model.ProcessID) (int, bool) {
 	if i := int(id - st.procs[0]); i >= 0 && i < len(st.procs) && st.procs[i] == id {
 		return i, true
 	}
@@ -311,7 +359,7 @@ func (st *runState) position(id model.ProcessID) (int, bool) {
 // round. A halted (decided) process no longer contends for the channel, so
 // the manager treats it like a crashed one — a backoff implementation
 // would observe the same thing.
-func (st *runState) aliveForCM(id model.ProcessID) bool {
+func (st *State) aliveForCM(id model.ProcessID) bool {
 	i, ok := st.position(id)
 	return ok && !st.sched.CrashedForSend(i, st.r) && !st.halted[i]
 }
@@ -351,10 +399,18 @@ func resolveDeliveryWorkers(cfg *Config, n int, det *detector.Detector, adversar
 	return w
 }
 
+// Run executes the configured system on a fresh State and returns the
+// recorded execution. It is new(State).Run: callers that run many systems
+// in a row keep one State instead.
+func Run(cfg Config) (*Result, error) {
+	return new(State).Run(cfg)
+}
+
 // Run executes the configured system and returns the recorded execution:
 // set-up, one round step per round until every live process has decided
-// (or MaxRounds, under RunFullHorizon), and the finish.
-func Run(cfg Config) (*Result, error) {
+// (or MaxRounds, under RunFullHorizon), and the finish. The Result belongs
+// to st and is valid only until st's next Run.
+func (st *State) Run(cfg Config) (*Result, error) {
 	if len(cfg.Procs) == 0 {
 		return nil, fmt.Errorf("engine: no processes configured")
 	}
@@ -362,7 +418,7 @@ func Run(cfg Config) (*Result, error) {
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
-	st := newRunState(&cfg, maxRounds)
+	st.reset(&cfg, maxRounds)
 	defer st.release()
 	rounds := 0
 	for r := 1; r <= maxRounds; r++ {
@@ -381,7 +437,7 @@ func Run(cfg Config) (*Result, error) {
 // contention advice, each process's msg function, the adversary's plan,
 // delivery with collision advice and the transitions, then the decision
 // bookkeeping. It reports whether every live process has decided.
-func (st *runState) round(r int) bool {
+func (st *State) round(r int) bool {
 	st.r = r
 	if st.denseCM != nil {
 		st.denseCM.AdviseInto(r, st.procs, st.alive, st.cm)
@@ -425,7 +481,7 @@ func (st *runState) round(r int) bool {
 		st.row = st.arena.BeginRound(r, len(st.senders))
 	}
 	st.each(phaseDeliver)
-	if st.recvBuf != nil {
+	if st.arena != nil && st.pool != nil {
 		// Receive segments merge into the shared arena in process order
 		// regardless of which worker built them, keeping the recorded trace
 		// deterministic (the sequential path finished each cell inline).
@@ -465,7 +521,7 @@ func (st *runState) round(r int) bool {
 // each runs phase p over every process index: inline, or sharded over the
 // pool. pool.Run's channel handshake orders the phase write before any
 // worker's read, so one pool and one barrier serve every phase.
-func (st *runState) each(p phase) {
+func (st *State) each(p phase) {
 	st.phase = p
 	if st.pool != nil {
 		st.pool.Run(len(st.procs))
@@ -476,7 +532,7 @@ func (st *runState) each(p phase) {
 
 // runPhase runs the open phase over process indices [lo, hi). Per-process
 // steps are independent, so the pool runs disjoint ranges concurrently.
-func (st *runState) runPhase(lo, hi int) {
+func (st *State) runPhase(lo, hi int) {
 	switch st.phase {
 	case phaseMessage:
 		st.message(lo, hi)
@@ -491,7 +547,7 @@ func (st *runState) runPhase(lo, hi int) {
 // live automaton's message lands in its own msgs slot, and sendOrd marks it
 // a sender (0) or silent (-1) until the gather numbers the senders. The
 // slots hold values, not pointers, so the stores need no write barrier.
-func (st *runState) message(lo, hi int) {
+func (st *State) message(lo, hi int) {
 	r := st.r
 	for i := lo; i < hi; i++ {
 		st.sendOrd[i] = -1
@@ -506,10 +562,11 @@ func (st *runState) message(lo, hi int) {
 
 // deliver runs the delivery phase of processes [lo, hi): receive sets,
 // collision advice, arena recording, and the automaton transitions.
-func (st *runState) deliver(lo, hi int) {
+func (st *State) deliver(lo, hi int) {
 	// Locals, so the inner loops read registers rather than the run state.
 	r, row, plan, lost := st.r, st.row, st.plan, st.lost
 	det, arena, perPair := st.det, st.arena, st.rowPlanner == nil
+	snapshot := st.pool != nil // shard workers snapshot receive sets (TraceFull)
 	senders, senderMsgs := st.senders, st.senderMsgs
 	k := len(senders)
 	for i := lo; i < hi; i++ {
@@ -521,7 +578,7 @@ func (st *runState) deliver(lo, hi int) {
 			advice := det.Advise(r, id, k, 0)
 			if arena != nil {
 				arena.RecordCell(row, i, nil, advice, st.cm[i], true)
-				if st.recvBuf != nil {
+				if snapshot {
 					st.recvBuf[i] = st.recvBuf[i][:0]
 				} else {
 					arena.FinishCellRecv(nil)
@@ -557,7 +614,7 @@ func (st *runState) deliver(lo, hi int) {
 				sentMsg = &senderMsgs[own]
 			}
 			arena.RecordCell(row, i, sentMsg, advice, st.cm[i], false)
-			if st.recvBuf != nil {
+			if snapshot {
 				st.recvBuf[i] = recv.AppendPairs(st.recvBuf[i][:0])
 			} else {
 				arena.FinishCellFromMultiset(recv)
@@ -572,7 +629,7 @@ func (st *runState) deliver(lo, hi int) {
 
 // finish closes the run after its last round: the final liveness sweep,
 // the once-per-run telemetry, and the Result.
-func (st *runState) finish(rounds int) *Result {
+func (st *State) finish(rounds int) *Result {
 	// The in-round liveness rule: only processes that crashed within the
 	// executed prefix are exempt from deciding.
 	allDecided := true
@@ -596,23 +653,25 @@ func (st *runState) finish(rounds int) *Result {
 	} else {
 		em.RoundsSequential.Add(uint64(rounds))
 	}
-	return &Result{
-		Execution:  st.exec,
+	st.res = Result{
+		Execution:  &st.exec,
 		Rounds:     rounds,
 		Decisions:  st.exec.Decisions,
 		AllDecided: allDecided,
 	}
+	return &st.res
 }
 
 // release stops the shard workers and returns the receive sets to their
 // pool. Run defers it, so a stopped or panicking run releases too.
-func (st *runState) release() {
+func (st *State) release() {
 	if st.pool != nil {
 		st.pool.Close()
 	}
-	for _, rs := range st.recvs {
+	for i, rs := range st.recvs {
 		rs.Reset()
 		recvPool.Put(rs)
+		st.recvs[i] = nil
 	}
 }
 
@@ -627,19 +686,33 @@ func CheckAgreement(res *Result) error {
 }
 
 // CheckStrongValidity verifies that every decided value was some process's
-// initial value (consensus property 2, strong form).
+// initial value (consensus property 2, strong form). It allocates nothing:
+// Initial is scanned again only for a decision that differs from the last
+// value found there, so decisions that agree cost one scan.
 func CheckStrongValidity(res *Result) error {
-	initials := make(map[model.Value]bool, len(res.Execution.Initial))
-	for _, v := range res.Execution.Initial {
-		initials[v] = true
-	}
+	var last model.Value // the last decided value found among the initial values
+	found := false
 	for id, d := range res.Decisions {
-		if !initials[d.Value] {
+		if found && d.Value == last {
+			continue
+		}
+		if !hasInitial(res.Execution.Initial, d.Value) {
 			return fmt.Errorf("strong validity violated: process %d decided %d, not any process's initial value",
 				id, uint64(d.Value))
 		}
+		last, found = d.Value, true
 	}
 	return nil
+}
+
+// hasInitial reports whether v is among the initial values.
+func hasInitial(initial map[model.ProcessID]model.Value, v model.Value) bool {
+	for _, w := range initial {
+		if w == v {
+			return true
+		}
+	}
+	return false
 }
 
 // CheckUniformValidity verifies the weaker uniform validity property: if all

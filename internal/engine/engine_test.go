@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -753,30 +755,178 @@ func TestDecisionsOnlySteadyStateAllocations(t *testing.T) {
 	}
 }
 
+// fixedRun runs the 2-process decisions-only system of the allocation
+// audits (the TestDecisionsOnlySteadyStateAllocations system, automata and
+// process map included) through run.
+func fixedRun(t *testing.T, run func(Config) (*Result, error)) {
+	d1 := &decideAfter{value: 1, round: 1}
+	d2 := &decideAfter{value: 1, round: 1}
+	if _, err := run(Config{
+		Procs:          map[model.ProcessID]model.Automaton{1: d1, 2: d2},
+		MaxRounds:      8,
+		RunFullHorizon: true,
+		Trace:          TraceDecisionsOnly,
+	}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestRunFixedAllocations audits Run's fixed cost per run: set-up, the
-// round step's run state and the finish. A 2-process decisions-only run
-// (the TestDecisionsOnlySteadyStateAllocations system, automata and
-// process map included) allocates at most 25 objects: round state lives
-// in runState fields, so none of it moves to the heap on its own.
+// round step's state and the finish. A one-shot 2-process decisions-only
+// run allocates at most 25 objects: round state lives in State fields, so
+// none of it moves to the heap on its own.
 func TestRunFixedAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop puts, so receive sets are reallocated")
 	}
-	run := func() {
-		d1 := &decideAfter{value: 1, round: 1}
-		d2 := &decideAfter{value: 1, round: 1}
-		if _, err := Run(Config{
-			Procs:          map[model.ProcessID]model.Automaton{1: d1, 2: d2},
-			MaxRounds:      8,
-			RunFullHorizon: true,
-			Trace:          TraceDecisionsOnly,
-		}); err != nil {
-			t.Error(err)
-		}
-	}
+	run := func() { fixedRun(t, Run) }
 	run() // warm the receive-set pool
 	if allocs := testing.AllocsPerRun(20, run); allocs > 25 {
 		t.Fatalf("a 2-process decisions-only run allocates %.0f objects, want at most 25", allocs)
+	}
+}
+
+// TestStateReuseAllocations audits a reused State: the same run as
+// TestRunFixedAllocations (22 objects one-shot) allocates 5, the caller's
+// two automata and process map and the default detector, because the
+// reset keeps the process table, buffers, crash columns, execution and
+// Result of the previous run.
+func TestStateReuseAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop puts, so receive sets are reallocated")
+	}
+	var st State
+	run := func() { fixedRun(t, st.Run) }
+	run() // warm the State and the receive-set pool
+	if allocs := testing.AllocsPerRun(20, run); allocs > 5 {
+		t.Fatalf("a reused State's 2-process decisions-only run allocates %.0f objects, want at most 5", allocs)
+	}
+}
+
+// TestStateReuseMatchesFresh runs one State through systems of 256, 4 and
+// 64 processes, alternating trace modes, sequential and sharded delivery,
+// row-planning and Plan-only adversaries and crash schedules, and requires
+// each run to equal a fresh Run of the same system: rounds, AllDecided,
+// decisions, and the exported execution byte for byte. Full traces must
+// also satisfy the model (Validate).
+func TestStateReuseMatchesFresh(t *testing.T) {
+	partitioned := func(n int) func() Config {
+		return func() Config {
+			cfg := alg2CrashConfig(n, 31, false)
+			cfg.Loss = loss.Partition{GroupOf: loss.SplitAt(model.ProcessID(n/2 + 1)), Until: 9}
+			return cfg
+		}
+	}
+	sharded := func(n int, v2 bool) func() Config {
+		return func() Config {
+			cfg := alg2CrashConfig(n, 5, v2)
+			cfg.DeliveryWorkers, cfg.DeliveryMinProcs = 3, 1
+			return cfg
+		}
+	}
+	steps := []struct {
+		name  string
+		build func() Config
+		trace TraceMode
+	}{
+		{"n=256 v1", func() Config { return alg2CrashConfig(256, 3, false) }, TraceFull},
+		{"n=4 v1", func() Config { return alg2CrashConfig(4, 6, false) }, TraceDecisionsOnly},
+		{"n=64 sharded v2", sharded(64, true), TraceFull},
+		{"n=3 capture", func() Config { return coreSystems[2].build(false) }, TraceFull},
+		{"n=5 stub", func() Config { return traceConfig(TraceFull) }, TraceDecisionsOnly},
+		{"n=256 sharded v1", sharded(256, false), TraceDecisionsOnly},
+		{"n=64 partition", partitioned(64), TraceFull},
+		{"n=4 noisy", func() Config { return coreSystems[1].build(false) }, TraceFull},
+		{"n=64 partition", partitioned(64), TraceDecisionsOnly},
+		{"n=10 stub sharded", func() Config { return parallelConfig(9, TraceFull, 4) }, TraceFull},
+		{"n=4 v1", func() Config { return alg2CrashConfig(4, 6, false) }, TraceFull},
+	}
+	export := func(res *Result) string {
+		var b strings.Builder
+		if err := res.Execution.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	var st State
+	for _, step := range steps {
+		cfg := step.build()
+		cfg.Trace = step.trace
+		fresh, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg = step.build()
+		cfg.Trace = step.trace
+		reused, err := st.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reused.Rounds != fresh.Rounds || reused.AllDecided != fresh.AllDecided {
+			t.Fatalf("%s: reused State ran %d rounds (all decided %v), fresh %d (%v)",
+				step.name, reused.Rounds, reused.AllDecided, fresh.Rounds, fresh.AllDecided)
+		}
+		if !maps.Equal(reused.Decisions, fresh.Decisions) {
+			t.Fatalf("%s: the reused State's %d decisions differ from a fresh run's %d",
+				step.name, len(reused.Decisions), len(fresh.Decisions))
+		}
+		if got, want := export(reused), export(fresh); got != want {
+			t.Fatalf("%s: reused State's execution exports differently from a fresh run's", step.name)
+		}
+		if step.trace == TraceFull {
+			if err := reused.Execution.Validate(); err != nil {
+				t.Fatalf("%s: reused State's execution invalid: %v", step.name, err)
+			}
+		}
+		fresh.Execution.Release()
+		reused.Execution.Release()
+	}
+}
+
+// TestCheckStrongValidity checks the validity verdict on agreeing,
+// valid-but-disagreeing and invalid decisions at n = 1, 4 and 256, and
+// that the check allocates nothing when it passes.
+func TestCheckStrongValidity(t *testing.T) {
+	for _, n := range []int{1, 4, 256} {
+		initial := make(map[model.ProcessID]model.Value, n)
+		for p := 1; p <= n; p++ {
+			initial[model.ProcessID(p)] = model.Value(10 * p)
+		}
+		decide := func(value func(p int) model.Value) *Result {
+			decisions := make(map[model.ProcessID]model.Decision, n)
+			for p := 1; p <= n; p++ {
+				decisions[model.ProcessID(p)] = model.Decision{Value: value(p), Round: 3}
+			}
+			return &Result{Execution: &model.Execution{Initial: initial, Decisions: decisions}, Decisions: decisions}
+		}
+		for _, tc := range []struct {
+			name  string
+			res   *Result
+			valid bool
+		}{
+			{"agreeing", decide(func(int) model.Value { return model.Value(10 * n) }), true},
+			{"disagreeing", decide(func(p int) model.Value { return model.Value(10 * (n + 1 - p)) }), true},
+			{"invalid", decide(func(p int) model.Value {
+				if p == n {
+					return 7 // no process started with 7
+				}
+				return 10
+			}), false},
+			{"none decided", &Result{Execution: &model.Execution{Initial: initial}}, true},
+		} {
+			err := CheckStrongValidity(tc.res)
+			if (err == nil) != tc.valid {
+				t.Fatalf("n=%d %s: CheckStrongValidity = %v, want valid=%v", n, tc.name, err, tc.valid)
+			}
+			if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("process %d decided 7, not any process's initial value", n)) {
+				t.Fatalf("n=%d %s: error %q does not name the invalid decision", n, tc.name, err)
+			}
+			if tc.valid {
+				if allocs := testing.AllocsPerRun(10, func() { _ = CheckStrongValidity(tc.res) }); allocs != 0 {
+					t.Fatalf("n=%d %s: CheckStrongValidity allocates %.0f objects, want 0", n, tc.name, allocs)
+				}
+			}
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package engine
 
 // shardPool runs one fixed function over contiguous index shards on a set
 // of persistent worker goroutines. The round step runs each per-process
-// phase through it (runState.runPhase): the pool is created once per run
+// phase through it (State.runPhase): the pool is created once per run
 // (so round dispatch allocates nothing), Run blocks until every shard
 // completes (the round barrier), and the shard boundaries depend only on
 // (n, workers), so with per-index-independent phases the sharded rounds

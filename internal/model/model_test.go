@@ -321,7 +321,8 @@ func TestDenseScheduleMatchesSchedule(t *testing.T) {
 		3: {Round: 3, Time: CrashAfterSend},
 		5: {Round: -2, Time: CrashBeforeSend}, // negative: also crashed from the start
 	}
-	d := s.Dense(procs)
+	var d DenseSchedule
+	d.Compile(s, procs)
 	for i, id := range procs {
 		for r := 1; r <= 6; r++ {
 			if got, want := d.CrashedForSend(i, r), s.CrashedForSend(id, r); got != want {

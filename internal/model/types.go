@@ -232,14 +232,22 @@ type DenseSchedule struct {
 	times  []CrashTime
 }
 
-// Dense compiles the schedule for the given process table: entry i
+// Compile compiles s for the given process table into d: entry i
 // describes procs[i]. Scheduled rounds below 1 mean "crashed from the
 // start" and compile to {Round: 1, CrashBeforeSend}, matching the map
-// semantics (CrashedForSend is true for every round when Round <= 0).
-func (s Schedule) Dense(procs []ProcessID) DenseSchedule {
-	d := DenseSchedule{
-		rounds: make([]int, len(procs)),
-		times:  make([]CrashTime, len(procs)),
+// semantics (CrashedForSend is true for every round when Round <= 0). d's
+// columns are reused when they hold len(procs) entries, so an owner that
+// compiles a schedule per run allocates only when the process count grows.
+func (d *DenseSchedule) Compile(s Schedule, procs []ProcessID) {
+	n := len(procs)
+	if cap(d.rounds) < n {
+		d.rounds, d.times = make([]int, n), make([]CrashTime, n)
+	}
+	d.rounds, d.times = d.rounds[:n], d.times[:n]
+	clear(d.rounds)
+	clear(d.times)
+	if len(s) == 0 {
+		return
 	}
 	for i, id := range procs {
 		c, ok := s[id]
@@ -252,7 +260,6 @@ func (s Schedule) Dense(procs []ProcessID) DenseSchedule {
 		d.rounds[i] = c.Round
 		d.times[i] = c.Time
 	}
-	return d
 }
 
 // CrashedForSend mirrors Schedule.CrashedForSend for process index i.

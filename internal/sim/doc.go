@@ -35,12 +35,29 @@
 //
 // # Determinism
 //
-// A trial is deterministic because everything stateful is constructed
-// inside it: Run materializes the Scenario (automata, detector behavior,
-// contention manager, loss adversary, each seeded from Scenario.Seed) and
-// only then drives the engine. The contract for Build* factories is the
-// same — construct fresh state per call; never capture a shared *rand.Rand.
-// Under that contract, for a fixed sweep seed the full Result slice is
-// byte-identical at 1, 4, or GOMAXPROCS workers (asserted by
-// TestSweepParallelDeterminism, including under crash schedules).
+// A trial is deterministic because no state crosses from one trial to the
+// next. Run and RunTrial materialize the Scenario fresh (automata, detector
+// behavior, contention manager, loss adversary, each seeded from
+// Scenario.Seed) and only then drive the engine. A sweep goroutine instead
+// owns one worker for the whole sweep, and the worker keeps two kinds of
+// state between its trials:
+//
+//   - an engine.State, whose Run resets the process table, buffers, crash
+//     columns, execution and Result for every trial;
+//   - the seeded components materialize builds from the declarative modes:
+//     the Probabilistic and Capture adversaries of both seed schedules, with
+//     their loss matrices, and the noisy detector's v1 generator. Each
+//     trial sets their parameters and reseeds their generators in place
+//     with rand.Rand.Seed, which draws exactly what a new seedstream.NewV1
+//     would (FuzzV1MatchesMathRand reseeds mid-stream).
+//
+// Everything else (automata, manager, detector, ECF wrapper, and whatever
+// BuildProc, BuildLoss and BuildBehavior return) is still constructed per
+// trial, so a trial's Result does not depend on what the worker ran before
+// it; TestWorkerReuseMatchesFresh checks this over a shuffled mix of 241
+// scenarios on one worker, against fresh trials. The contract for Build*
+// factories is unchanged: construct fresh state per call; never capture a
+// shared *rand.Rand. Under that contract, for a fixed sweep seed the full
+// Result slice is byte-identical at 1, 4, or GOMAXPROCS workers (asserted
+// by TestSweepParallelDeterminism, including under crash schedules).
 package sim

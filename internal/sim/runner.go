@@ -70,8 +70,13 @@ func RunTrial(index int, s Scenario) Result {
 // digest logic; the engine result is nil when the trial errored.
 func RunTrialFull(index int, s Scenario) (Result, *engine.Result) {
 	res, err := Run(s)
+	return digest(index, &s, res, err), res
+}
+
+// digest reduces a trial's engine result, or its error, to the Result.
+func digest(index int, s *Scenario, res *engine.Result, err error) Result {
 	if err != nil {
-		return Result{Index: index, Name: s.Name, Seed: s.Seed, Err: err}, nil
+		return Result{Index: index, Name: s.Name, Seed: s.Seed, Err: err}
 	}
 	vals := res.Execution.DecidedValues()
 	return Result{
@@ -86,7 +91,31 @@ func RunTrialFull(index int, s Scenario) (Result, *engine.Result) {
 		AgreementOK:       len(vals) <= 1, // engine.CheckAgreement's rule
 		ValidityOK:        engine.CheckStrongValidity(res) == nil,
 		TerminationOK:     engine.CheckTermination(res, s.Crashes) == nil,
-	}, res
+	}
+}
+
+// worker is the trial state one sweep goroutine owns for the whole sweep:
+// the engine state it resets and the seeded components it reseeds for
+// every trial it claims. A trial keeps nothing past its digest, so its
+// Result equals RunTrial's.
+type worker struct {
+	state  engine.State
+	seeded seeded
+}
+
+// trial runs one scenario on the worker's state and digests it. A full
+// trace goes back to the arena pool once digested.
+func (w *worker) trial(index int, s *Scenario) Result {
+	var cfg engine.Config
+	if err := s.materialize(&cfg, &w.seeded); err != nil {
+		return digest(index, s, nil, err)
+	}
+	res, err := w.state.Run(cfg)
+	out := digest(index, s, res, err)
+	if res != nil {
+		res.Execution.Release()
+	}
+	return out
 }
 
 // ResultSink consumes digested trial results as a sweep produces them.
@@ -129,6 +158,14 @@ func (r Runner) Map(n int, fn func(i int)) {
 // every one of the n calls completed. fn itself is never interrupted — the
 // parallel-for contract still holds for every index that ran.
 func (r Runner) MapCtx(ctx context.Context, n int, fn func(i int)) error {
+	return r.mapEach(ctx, n, func() func(i int) { return fn })
+}
+
+// mapEach is MapCtx over goroutine-owned state: each pool goroutine calls
+// start once and runs every index it claims through the function start
+// returned, so whatever that function closes over belongs to one goroutine
+// for the whole map.
+func (r Runner) mapEach(ctx context.Context, n int, start func() func(i int)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -144,6 +181,7 @@ func (r Runner) MapCtx(ctx context.Context, n int, fn func(i int)) error {
 	}
 	var completed atomic.Int64
 	if w <= 1 {
+		fn := start()
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
 				break
@@ -158,6 +196,7 @@ func (r Runner) MapCtx(ctx context.Context, n int, fn func(i int)) error {
 		for k := 0; k < w; k++ {
 			go func() {
 				defer wg.Done()
+				fn := start()
 				for ctx.Err() == nil {
 					i := int(next.Add(1)) - 1
 					if i >= n {
@@ -216,9 +255,7 @@ func (r Runner) SweepTo(scenarios []Scenario, sink ResultSink) error {
 // prefix is exactly what an uninterrupted sweep would have produced for
 // those indices, so a flushed JSONL shard remains valid for resume.
 func (r Runner) SweepToCtx(ctx context.Context, scenarios []Scenario, sink ResultSink) error {
-	return r.SweepFuncToCtx(ctx, len(scenarios), func(i int) Result {
-		return r.guardedTrial(i, scenarios[i])
-	}, sink)
+	return r.sweepScenarios(ctx, len(scenarios), func(i int) (int, *Scenario) { return i, &scenarios[i] }, sink)
 }
 
 // SweepTrialsTo is SweepTo over an indexed shard (see ShardScenarios): each
@@ -233,33 +270,46 @@ func (r Runner) SweepTrialsTo(trials []Trial, sink ResultSink) error {
 // SweepTrialsToCtx is SweepTrialsTo with the cancellation semantics of
 // SweepToCtx.
 func (r Runner) SweepTrialsToCtx(ctx context.Context, trials []Trial, sink ResultSink) error {
-	return r.SweepFuncToCtx(ctx, len(trials), func(i int) Result {
-		return r.guardedTrial(trials[i].Index, trials[i].Scenario)
+	return r.sweepScenarios(ctx, len(trials), func(i int) (int, *Scenario) { return trials[i].Index, &trials[i].Scenario }, sink)
+}
+
+// sweepScenarios runs trial i as scenario at(i) under its global index:
+// each pool goroutine owns one worker for the whole sweep, and every trial
+// runs guarded.
+func (r Runner) sweepScenarios(ctx context.Context, n int, at func(i int) (int, *Scenario), sink ResultSink) error {
+	return r.sweepEach(ctx, n, func() func(i int) Result {
+		w := new(worker)
+		return func(i int) Result {
+			index, s := at(i)
+			return r.guardedTrial(w, index, s)
+		}
 	}, sink)
 }
 
-// guardedTrial runs one scenario with the sweep's crash isolation: a panic
-// anywhere inside the trial — an automaton, detector, adversary, or the
-// engine itself, on the trial goroutine or re-raised from a delivery shard
-// worker — is recovered into Result.Err as an *engine.PanicError. The
+// guardedTrial runs one scenario on w with the sweep's crash isolation: a
+// panic anywhere inside the trial — an automaton, detector, adversary, or
+// the engine itself, on the trial goroutine or re-raised from a delivery
+// shard worker — is recovered into Result.Err as an *engine.PanicError. The
 // error's message excludes the captured stack (which lives on the struct
 // for forensics) so quarantine records serialize identically at any worker
-// count. With TrialTimeout set, a watchdog timer arms the scenario's Stop
-// flag at the deadline and the resulting engine abort is rewritten to a
+// count; the worker's next trial resets everything the panic left behind.
+// With TrialTimeout set, a watchdog timer arms the scenario's Stop flag at
+// the deadline and the resulting engine abort is rewritten to a
 // deterministic *DeadlineError.
-func (r Runner) guardedTrial(index int, s Scenario) (res Result) {
+func (r Runner) guardedTrial(w *worker, index int, s *Scenario) (res Result) {
 	defer func() {
 		if v := recover(); v != nil {
 			res = Result{Index: index, Name: s.Name, Seed: s.Seed, Err: engine.NewPanicError(v)}
 		}
 	}()
 	if r.TrialTimeout <= 0 {
-		return RunTrial(index, s)
+		return w.trial(index, s)
 	}
-	stop := s.Stop
+	timed := *s // the watchdog's Stop flag is this trial's alone
+	stop := timed.Stop
 	if stop == nil {
 		stop = new(atomic.Bool)
-		s.Stop = stop
+		timed.Stop = stop
 	}
 	var expired atomic.Bool
 	timer := time.AfterFunc(r.TrialTimeout, func() {
@@ -267,7 +317,7 @@ func (r Runner) guardedTrial(index int, s Scenario) (res Result) {
 		stop.Store(true)
 	})
 	defer timer.Stop()
-	res = RunTrial(index, s)
+	res = w.trial(index, &timed)
 	if res.Err != nil && expired.Load() && errors.Is(res.Err, engine.ErrStopped) {
 		res.Err = &DeadlineError{Timeout: r.TrialTimeout}
 	}
@@ -291,6 +341,13 @@ func (r Runner) guardedTrial(index int, s Scenario) (res Result) {
 // (by slot order, as a *TrialError) after all trials ran. A quarantined
 // result is counted by cause and journaled once, when the sink accepts it.
 func (r Runner) SweepFuncToCtx(ctx context.Context, n int, fn func(i int) Result, sink ResultSink) error {
+	return r.sweepEach(ctx, n, func() func(i int) Result { return fn }, sink)
+}
+
+// sweepEach is SweepFuncToCtx over goroutine-owned state: each pool
+// goroutine calls start once and runs the trials it claims through the
+// function start returned (see mapEach).
+func (r Runner) sweepEach(ctx context.Context, n int, start func() func(i int) Result, sink ResultSink) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -323,7 +380,9 @@ func (r Runner) SweepFuncToCtx(ctx context.Context, n int, fn func(i int) Result
 		batchFirst int64
 		batchN     int64
 	)
-	ctxErr := r.MapCtx(ctx, n, func(i int) {
+	// collect runs trial i through the calling goroutine's fn and hands the
+	// sink every result the reorder window can release.
+	collect := func(i int, fn func(i int) Result) {
 		if aborted.Load() {
 			return
 		}
@@ -387,6 +446,10 @@ func (r Runner) SweepFuncToCtx(ctx context.Context, n int, fn func(i int) Result
 		if occ := doneCount - next; occ > maxOcc {
 			maxOcc = occ
 		}
+	}
+	ctxErr := r.mapEach(ctx, n, func() func(i int) {
+		fn := start()
+		return func(i int) { collect(i, fn) }
 	})
 	if batchSpan != 0 {
 		jal.EndBatch(batchSpan, batchFirst, batchN)

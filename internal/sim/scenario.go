@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 
 	"adhocconsensus/internal/backoff"
@@ -160,8 +161,20 @@ type Scenario struct {
 // manager, adversary) fresh. Callers executing trials concurrently must
 // call Materialize inside the trial, never share its outputs.
 func (s *Scenario) Materialize() (*engine.Config, error) {
+	var own seeded
+	cfg := new(engine.Config)
+	if err := s.materialize(cfg, &own); err != nil {
+		return nil, err
+	}
+	return cfg, nil
+}
+
+// materialize is Materialize writing into cfg, with the seeded components
+// taken from own: an empty set for Materialize, a sweep worker's own set
+// for its trials.
+func (s *Scenario) materialize(cfg *engine.Config, own *seeded) error {
 	if len(s.Values) == 0 {
-		return nil, fmt.Errorf("sim: Values must be non-empty")
+		return fmt.Errorf("sim: Values must be non-empty")
 	}
 	domainSize := s.Domain
 	if domainSize == 0 {
@@ -173,11 +186,11 @@ func (s *Scenario) Materialize() (*engine.Config, error) {
 	}
 	domain, err := valueset.NewDomain(domainSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i, v := range s.Values {
 		if !domain.Contains(v) {
-			return nil, fmt.Errorf("sim: value %d of process %d outside domain of size %d", v, i+1, domainSize)
+			return fmt.Errorf("sim: value %d of process %d outside domain of size %d", v, i+1, domainSize)
 		}
 	}
 
@@ -214,22 +227,22 @@ func (s *Scenario) Materialize() (*engine.Config, error) {
 		}
 		idSpace, err := valueset.NewDomain(idSpaceSize)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ids := s.IDs
 		if len(ids) == 0 {
 			ids, err = valueset.RandomIDs(len(s.Values), idSpace, s.Seed+1)
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if len(ids) != len(s.Values) {
-			return nil, fmt.Errorf("sim: %d IDs for %d processes", len(ids), len(s.Values))
+			return fmt.Errorf("sim: %d IDs for %d processes", len(ids), len(s.Values))
 		}
 		seen := make(map[model.Value]bool, len(ids))
 		for _, id := range ids {
 			if seen[id] {
-				return nil, fmt.Errorf("sim: duplicate ID %d", id)
+				return fmt.Errorf("sim: duplicate ID %d", id)
 			}
 			seen[id] = true
 		}
@@ -237,22 +250,19 @@ func (s *Scenario) Materialize() (*engine.Config, error) {
 			procs[model.ProcessID(i+1)] = core.NewNonAnon(idSpace, domain, ids[i], v)
 		}
 	default:
-		return nil, fmt.Errorf("sim: unknown algorithm %v", s.Algorithm)
+		return fmt.Errorf("sim: unknown algorithm %v", s.Algorithm)
 	}
 
-	det, err := s.buildDetector()
-	if err != nil {
-		return nil, err
-	}
+	det := s.buildDetector(own)
 	manager, err := s.buildCM()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	adversary, err := s.buildLoss()
+	adversary, err := s.buildLoss(own)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &engine.Config{
+	*cfg = engine.Config{
 		Procs:           procs,
 		Initial:         initial,
 		Detector:        det,
@@ -264,11 +274,12 @@ func (s *Scenario) Materialize() (*engine.Config, error) {
 		Trace:           s.Trace,
 		DeliveryWorkers: s.DeliveryWorkers,
 		Stop:            s.Stop,
-	}, nil
+	}
+	return nil
 }
 
 // buildDetector resolves the detector class and behavior.
-func (s *Scenario) buildDetector() (*detector.Detector, error) {
+func (s *Scenario) buildDetector(own *seeded) *detector.Detector {
 	class := s.Detector
 	if class == (detector.Class{}) {
 		switch s.Algorithm {
@@ -289,9 +300,9 @@ func (s *Scenario) buildDetector() (*detector.Detector, error) {
 	case s.BuildBehavior != nil:
 		behavior = s.BuildBehavior(s)
 	case s.FalsePositiveRate > 0:
-		behavior = detector.Noisy{P: s.FalsePositiveRate, Rng: seedstream.NewV1(s.Seed + 2)}
+		behavior = detector.Noisy{P: s.FalsePositiveRate, Rng: own.noise(s.Seed + 2)}
 	}
-	return detector.New(class, detector.WithRace(race), detector.WithBehavior(behavior)), nil
+	return detector.New(class, detector.WithRace(race), detector.WithBehavior(behavior))
 }
 
 // buildCM resolves the contention manager.
@@ -323,7 +334,7 @@ func (s *Scenario) buildCM() (cm.Service, error) {
 }
 
 // buildLoss resolves the base adversary and the ECF wrapper.
-func (s *Scenario) buildLoss() (loss.Adversary, error) {
+func (s *Scenario) buildLoss(own *seeded) (loss.Adversary, error) {
 	if !seedstream.Valid(s.SeedSchedule) {
 		return nil, fmt.Errorf("sim: unknown seed schedule v%d", s.SeedSchedule)
 	}
@@ -336,17 +347,9 @@ func (s *Scenario) buildLoss() (loss.Adversary, error) {
 		case LossNone:
 			base = loss.None{}
 		case LossProbabilistic:
-			if v2 {
-				base = loss.NewProbabilisticV2(s.LossP, s.Seed+4)
-			} else {
-				base = loss.NewProbabilistic(s.LossP, s.Seed+4)
-			}
+			base = own.probabilistic(s.LossP, s.Seed+4, v2)
 		case LossCapture:
-			if v2 {
-				base = loss.NewCaptureV2(s.LossP, s.LossP/4, s.Seed+4)
-			} else {
-				base = loss.NewCapture(s.LossP, s.LossP/4, s.Seed+4)
-			}
+			base = own.capture(s.LossP, s.LossP/4, s.Seed+4, v2)
 		case LossDrop:
 			base = loss.Drop{}
 		default:
@@ -361,6 +364,71 @@ func (s *Scenario) buildLoss() (loss.Adversary, error) {
 		return loss.ECF{Base: base, From: ecf}, nil
 	}
 	return base, nil
+}
+
+// seeded holds the seeded components that materialize builds from the
+// declarative modes: the Probabilistic and Capture adversaries and the
+// noisy detector's generator, each constructed on first use. A sweep
+// worker keeps one set for the whole sweep, so the adversaries' loss
+// matrices and scratch keep their grown capacity. A trial that uses a
+// component sets every parameter and reseeds its v1 generator in place
+// with rand.Rand.Seed, which leaves it drawing exactly what a new
+// seedstream.NewV1 would, so nothing one trial drew or planned reaches the
+// next. From an empty set the same calls construct the components that
+// NewProbabilistic, NewCapture and their V2 forms would.
+type seeded struct {
+	prob       *loss.Probabilistic
+	capt       *loss.Capture
+	noiseDraws *rand.Rand
+}
+
+// reseed returns the v1 generator for seed: rng reseeded, or a new one.
+func reseed(rng *rand.Rand, seed int64) *rand.Rand {
+	if rng == nil {
+		return seedstream.NewV1(seed)
+	}
+	rng.Seed(seed)
+	return rng
+}
+
+// draws returns the seed schedule, v2 key and v1 generator of an adversary
+// drawing from seed: v2 keys its counter streams with seed, and v1 draws
+// from rng reseeded.
+func draws(rng *rand.Rand, seed int64, v2 bool) (int, int64, *rand.Rand) {
+	if v2 {
+		return seedstream.V2, seed, rng
+	}
+	return seedstream.V1, 0, reseed(rng, seed)
+}
+
+// noise returns the noisy detector's generator for seed.
+func (o *seeded) noise(seed int64) *rand.Rand {
+	o.noiseDraws = reseed(o.noiseDraws, seed)
+	return o.noiseDraws
+}
+
+// probabilistic returns the Probabilistic adversary losing with
+// probability p and drawing from seed under schedule v1 or v2.
+func (o *seeded) probabilistic(p float64, seed int64, v2 bool) *loss.Probabilistic {
+	if o.prob == nil {
+		o.prob = new(loss.Probabilistic)
+	}
+	a := o.prob
+	a.P = p
+	a.Schedule, a.Seed, a.Rng = draws(a.Rng, seed, v2)
+	return a
+}
+
+// capture returns the Capture adversary with the given loss
+// probabilities, drawing from seed under schedule v1 or v2.
+func (o *seeded) capture(pNone, pLoneLoss float64, seed int64, v2 bool) *loss.Capture {
+	if o.capt == nil {
+		o.capt = new(loss.Capture)
+	}
+	a := o.capt
+	a.PNone, a.PLoneLoss = pNone, pLoneLoss
+	a.Schedule, a.Seed, a.Rng = draws(a.Rng, seed, v2)
+	return a
 }
 
 // Run materializes and executes the scenario, returning the full engine
