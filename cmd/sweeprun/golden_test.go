@@ -12,10 +12,13 @@ import (
 )
 
 // TestV1ShardGolden pins the bytes of v1 shard files, not only their
-// fingerprint. Together the four configurations reach every per-trial
-// random source a sweep builds: Probabilistic and Capture loss, the noisy
-// detector (-fp), backoff, and leader-relay's random IDs. Any change to a
-// v1 draw, its order, or the record encoding changes a hash.
+// fingerprint. Together the configurations reach every per-trial random
+// source a sweep builds: Probabilistic and Capture loss, the noisy detector
+// (-fp), backoff, and leader-relay's random IDs. Any change to a v1 draw,
+// its order, or the record encoding changes a hash. The last three pin the
+// other automata: Alg 1, Alg 3 descending a 16-bit tree, and leader-relay
+// in its election regime (|I| = 16 < |V|; the default |I| = 2⁴⁸ runs it
+// as plain Alg 2).
 func TestV1ShardGolden(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -29,6 +32,12 @@ func TestV1ShardGolden(t *testing.T) {
 			"1a7c63dca403b20e77849ddb079fe5eac9ace9ea609a31b43edad4a4f7ca3e0d"},
 		{"-trials 500 -seed 9 -alg leaderrelay -loss prob -p 0.2 -cst 4",
 			"381228f1093e09da5c82812a1d8c8f28815269748d2273e379487620715509de"},
+		{"-trials 500 -seed 10 -alg propose -loss prob -p 0.3 -cst 6",
+			"de88e8f6382dda23c396cb4d2e502b68c9c98dde894aaadb36eb47590b625ef8"},
+		{"-trials 200 -seed 11 -alg treewalk -loss drop -domain 65536 -values 1,9000,30000,65535",
+			"1b3213ef49e38896b70d6c88ff92a23abc9e11bcaf69a888d9ebee4f7ed1a028"},
+		{"-trials 500 -seed 12 -alg leaderrelay -idspace 16 -domain 65536 -values 1,9000,30000,65535 -loss prob -p 0.3 -cst 8",
+			"96b224cd595e615a2fe00f0100564b0e21a154ea16384c20a2eecae60f15ce68"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			checkShardHash(t, strings.Fields(tc.args), tc.want)
