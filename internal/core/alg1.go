@@ -32,9 +32,10 @@ type Alg1 struct {
 	phase    alg1Phase
 
 	// Observations from the preceding proposal round, consumed by the veto
-	// round (the pseudocode's messagesᵢ and CD-adviceᵢ).
-	propValues map[model.Value]struct{}
-	propCD     model.CDAdvice
+	// round (the pseudocode's messagesᵢ and CD-adviceᵢ): how many distinct
+	// values it carried, capped at 2, and its detector advice.
+	propDistinct int
+	propCD       model.CDAdvice
 
 	msg model.Message // reusable broadcast buffer (see Automaton.Message)
 
@@ -69,7 +70,7 @@ func (a *Alg1) Message(_ int, cmAdvice model.CMAdvice) *model.Message {
 		}
 		return nil
 	case alg1Veto:
-		if a.propCD == model.CDCollision || len(a.propValues) > 1 {
+		if a.propCD == model.CDCollision || a.propDistinct > 1 {
 			a.msg = model.Message{Kind: model.KindVeto}
 			return &a.msg
 		}
@@ -86,15 +87,15 @@ func (a *Alg1) Deliver(_ int, recv *model.RecvSet, cd model.CDAdvice, _ model.CM
 	}
 	switch a.phase {
 	case alg1Proposal:
-		a.propValues = estimateValues(recv)
-		a.propCD = cd
-		if cd != model.CDCollision && len(a.propValues) > 0 {
-			a.estimate = minValue(a.propValues)
+		least, distinct := proposals(recv)
+		a.propDistinct, a.propCD = distinct, cd
+		if cd != model.CDCollision && distinct > 0 {
+			a.estimate = least
 		}
 		a.phase = alg1Veto
 
 	case alg1Veto:
-		if recv.Len() == 0 && cd == model.CDNull && len(a.propValues) == 1 {
+		if recv.Len() == 0 && cd == model.CDNull && a.propDistinct == 1 {
 			a.decided = true
 			a.decision = a.estimate
 			a.halted = true
@@ -110,30 +111,21 @@ func (a *Alg1) Decided() (model.Value, bool) { return a.decision, a.decided }
 // Halted implements model.Decider.
 func (a *Alg1) Halted() bool { return a.halted }
 
-// estimateValues returns SET(recv) restricted to estimate messages: the set
-// of unique proposed values received.
-func estimateValues(recv *model.RecvSet) map[model.Value]struct{} {
-	out := make(map[model.Value]struct{})
+// proposals summarizes SET(recv) restricted to estimate messages, the set
+// of unique proposed values received, as the rules read it: its minimum
+// and its size, capped at 2 (none, one, or more than one). It allocates
+// nothing.
+func proposals(recv *model.RecvSet) (least model.Value, distinct int) {
 	recv.Range(func(m model.Message, _ int) bool {
 		if m.Kind == model.KindEstimate {
-			out[m.Value] = struct{}{}
+			if distinct == 0 || m.Value < least {
+				least = m.Value
+			}
+			distinct = min(distinct+1, 2)
 		}
 		return true
 	})
-	return out
-}
-
-// minValue returns the minimum of a non-empty value set.
-func minValue(set map[model.Value]struct{}) model.Value {
-	first := true
-	var best model.Value
-	for v := range set {
-		if first || v < best {
-			best = v
-			first = false
-		}
-	}
-	return best
+	return least, distinct
 }
 
 // Alg1NoVeto is the A1 ablation: Algorithm 1 with the veto phase removed —
@@ -175,11 +167,11 @@ func (a *Alg1NoVeto) Deliver(_ int, recv *model.RecvSet, cd model.CDAdvice, _ mo
 	if a.halted {
 		return
 	}
-	values := estimateValues(recv)
-	if cd != model.CDCollision && len(values) > 0 {
-		a.estimate = minValue(values)
+	least, distinct := proposals(recv)
+	if cd != model.CDCollision && distinct > 0 {
+		a.estimate = least
 	}
-	if cd != model.CDCollision && len(values) == 1 {
+	if cd != model.CDCollision && distinct == 1 {
 		a.decided = true
 		a.decision = a.estimate
 		a.halted = true

@@ -58,7 +58,13 @@ var (
 // NewAlg2 returns an Algorithm 2 process with the given initial value drawn
 // from the given domain.
 func NewAlg2(domain valueset.Domain, initial model.Value) *Alg2 {
-	return &Alg2{
+	a := alg2(domain, initial)
+	return &a
+}
+
+// alg2 is NewAlg2's process as a value, for an automaton that holds one.
+func alg2(domain valueset.Domain, initial model.Value) Alg2 {
+	return Alg2{
 		domain:   domain,
 		width:    domain.BitWidth(),
 		estimate: initial,

@@ -38,7 +38,6 @@ type Alg3 struct {
 
 	phase alg3Phase
 	curr  valueset.Node
-	stack []valueset.Node // path from root to curr, for parent ascent
 
 	heard [3]bool // per voting phase: received a message or notification
 
@@ -131,19 +130,16 @@ func (a *Alg3) recurse() {
 		a.halted = true
 	case a.heard[1]:
 		if left, ok := a.curr.Left(); ok {
-			a.stack = append(a.stack, a.curr)
 			a.curr = left
 		}
 	case a.heard[2]:
 		if right, ok := a.curr.Right(); ok {
-			a.stack = append(a.stack, a.curr)
 			a.curr = right
 		}
 	default:
 		// No votes at all: the voters we were following crashed. Ascend.
-		if n := len(a.stack); n > 0 {
-			a.curr = a.stack[n-1]
-			a.stack = a.stack[:n-1]
+		if parent, ok := a.domain.Parent(a.curr); ok {
+			a.curr = parent
 		}
 		// At the root with no votes (everyone else crashed before voting
 		// and we are between positions): stay; our own future votes will

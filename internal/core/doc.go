@@ -23,4 +23,10 @@
 // except for NonAnon — anonymous in the formal sense of Definition 3: every
 // process runs the identical automaton, differing only in its initial
 // value.
+//
+// Each automaton (Alg1 and its ablation Alg1NoVeto, Alg2, Alg3, NonAnon) is
+// a flat value: no field is a pointer, slice, map, channel, function or
+// interface, so a copy is an independent clone and the value itself is
+// the process's state. NonAnon's election is an Alg2 value it holds, not a
+// second copy of the cycle.
 package core

@@ -39,34 +39,37 @@ import (
 //
 //  2. The sketch runs "consecutive instances" of Algorithm 2; but fresh
 //     instances started at per-process decision times would lose the
-//     lockstep phase alignment Algorithm 2's safety argument needs. Here a
-//     single continuous election automaton cycles forever, aligned for all
-//     processes, electing (without halting) on each clean accept round;
-//     the prepare gate and the estimate re-arm give the same effect the
-//     paper intends.
+//     lockstep phase alignment Algorithm 2's safety argument needs. Here
+//     the election is one Algorithm 2 value over the identifier space,
+//     aligned for all processes, whose clean accept round installs its
+//     estimate as leader and restarts the cycle instead of halting; the
+//     prepare gate and the estimate re-arm give the same effect the paper
+//     intends.
 //
 // Both refinements preserve the paper's structure, message kinds, and the
 // CST + O(min{lg|V|, lg|I|}) bound, which the T5 benchmark measures.
 type NonAnon struct {
 	id model.Value
 
-	// plain is non-nil in the |V| <= |I| regime: the whole algorithm is
-	// Algorithm 2 on values.
-	plain *Alg2
+	// alg is Algorithm 2. In the plain regime (|V| <= |I|) it runs on the
+	// values and is the whole algorithm. In the election regime it runs on
+	// the identifier space, from this process's ID, on phase-1 rounds only,
+	// where NonAnon gates its prepare broadcasts, re-arms its estimate and
+	// turns its accept round into a leader installation.
+	alg   Alg2
+	elect bool // the election regime: |V| > |I|
 
 	// adopted is the value this process disseminates if elected: its own
 	// initial value until a leader value is received.
 	adopted model.Value
 
-	elect      *election
 	leader     model.Value
 	haveLeader bool
 	leaderDead bool
+	rearm      bool // reset alg's estimate to id at the next prepare round
 	sawValue   bool // received the leader value in the current cycle's phase 2
 
-	// msg is the reusable broadcast buffer (see Automaton.Message), shared
-	// with the election: at most one of the two broadcasts per round.
-	msg model.Message
+	msg model.Message // reusable phase-2 and phase-3 broadcast buffer
 
 	decided  bool
 	decision model.Value
@@ -81,11 +84,11 @@ var (
 // NewNonAnon returns a §7.3 process with the given unique identifier (drawn
 // from idDomain) and initial value (drawn from valDomain).
 func NewNonAnon(idDomain, valDomain valueset.Domain, id, initial model.Value) *NonAnon {
-	n := &NonAnon{id: id, adopted: initial}
-	if valDomain.Size <= idDomain.Size {
-		n.plain = NewAlg2(valDomain, initial)
+	n := &NonAnon{id: id, adopted: initial, elect: valDomain.Size > idDomain.Size}
+	if n.elect {
+		n.alg = alg2(idDomain, id)
 	} else {
-		n.elect = newElection(idDomain, id, n)
+		n.alg = alg2(valDomain, initial)
 	}
 	return n
 }
@@ -101,12 +104,24 @@ func (n *NonAnon) Message(r int, cmAdvice model.CMAdvice) *model.Message {
 	if n.halted {
 		return nil
 	}
-	if n.plain != nil {
-		return n.plain.Message(r, cmAdvice)
+	if !n.elect {
+		return n.alg.Message(r, cmAdvice)
 	}
 	switch phaseOf(r) {
 	case 1:
-		return n.elect.message(cmAdvice)
+		if n.alg.phase == alg2Prepare {
+			if n.rearm {
+				// Re-arm at the cycle boundary, before this round's
+				// broadcast (a mid-cycle reset would desynchronize the bit
+				// rounds): a stale estimate must not re-propose the dead
+				// leader.
+				n.alg.estimate, n.rearm = n.id, false
+			}
+			if n.haveLeader && !n.leaderDead {
+				return nil // contend only while no leader is believed alive
+			}
+		}
+		return n.alg.Message(r, cmAdvice)
 	case 2:
 		if n.isLeader() {
 			n.msg = model.Message{Kind: model.KindLeaderValue, Value: n.adopted}
@@ -127,18 +142,25 @@ func (n *NonAnon) Deliver(r int, recv *model.RecvSet, cd model.CDAdvice, cmAdvic
 	if n.halted {
 		return
 	}
-	if n.plain != nil {
-		n.plain.Deliver(r, recv, cd, cmAdvice)
-		if v, ok := n.plain.Decided(); ok {
-			n.decided = true
-			n.decision = v
-			n.halted = true
-		}
+	if !n.elect {
+		n.alg.Deliver(r, recv, cd, cmAdvice)
+		n.decision, n.decided = n.alg.Decided()
+		n.halted = n.decided
 		return
 	}
 	switch phaseOf(r) {
 	case 1:
-		n.elect.deliver(recv, cd)
+		if n.alg.phase != alg2Accept {
+			n.alg.Deliver(r, recv, cd, cmAdvice)
+			return
+		}
+		// The election's accept round elects instead of deciding: when it
+		// is clean and this process kept its decide flag, the estimate
+		// becomes the leader, and the cycle restarts either way.
+		if n.alg.decide && recv.Len() == 0 && cd != model.CDCollision {
+			n.leader, n.haveLeader, n.leaderDead = n.alg.estimate, true, false
+		}
+		n.alg.phase = alg2Prepare
 	case 2:
 		n.deliverValue(recv, cd)
 	default:
@@ -146,43 +168,26 @@ func (n *NonAnon) Deliver(r int, recv *model.RecvSet, cd model.CDAdvice, cmAdvic
 	}
 }
 
-// installLeader is called by the election on each clean electing cycle.
-func (n *NonAnon) installLeader(id model.Value) {
-	n.leader = id
-	n.haveLeader = true
-	n.leaderDead = false
-}
-
-// leaderBelievedAlive gates the election's prepare broadcasts: contend for
-// leadership only while no installed leader is believed alive.
-func (n *NonAnon) leaderBelievedAlive() bool { return n.haveLeader && !n.leaderDead }
-
 // deliverValue handles a phase-2 round: receive/adopt the leader value, or
 // detect the leader's death from provable silence.
 func (n *NonAnon) deliverValue(recv *model.RecvSet, cd model.CDAdvice) {
 	n.sawValue = false
-	var got *model.Value
 	recv.Range(func(m model.Message, _ int) bool {
 		if m.Kind == model.KindLeaderValue {
-			v := m.Value
-			got = &v
+			// Adopt regardless of whether our own election has caught up:
+			// a future leader must disseminate this value, not its
+			// original one.
+			n.adopted, n.sawValue = m.Value, true
 			return false
 		}
 		return true
 	})
-	switch {
-	case got != nil:
-		// Adopt regardless of whether our own election has caught up: a
-		// future leader must disseminate this value, not its original one.
-		n.adopted = *got
-		n.sawValue = true
-	case n.haveLeader && !n.isLeader() && recv.Len() == 0 && cd == model.CDNull:
+	if recv.Len() == 0 && cd == model.CDNull && n.haveLeader && !n.isLeader() {
 		// Provable silence (Corollary 1): the leader did not broadcast, so
 		// it crashed (or halted after full dissemination — in which case
 		// every process has already adopted its value). Re-arm the
 		// election.
-		n.leaderDead = true
-		n.elect.rearm()
+		n.leaderDead, n.rearm = true, true
 	}
 }
 
@@ -206,109 +211,3 @@ func (n *NonAnon) Halted() bool { return n.halted }
 // Leader exposes the currently installed leader for tests: valid only when
 // ok is true.
 func (n *NonAnon) Leader() (model.Value, bool) { return n.leader, n.haveLeader }
-
-// election is the continuous leader-election automaton driven on phase-1
-// rounds: Algorithm 2's three-phase cycle over the identifier space, except
-// that electing does not halt the automaton — it keeps cycling so that all
-// processes stay phase-aligned forever, and a re-arm (after a leader death)
-// resets estimates to fresh IDs at the next cycle boundary.
-type election struct {
-	domain   valueset.Domain
-	width    int
-	id       model.Value
-	owner    *NonAnon
-	estimate model.Value
-
-	phase      alg2Phase
-	bit        int
-	decideFlag bool
-	pendingArm bool
-}
-
-func newElection(domain valueset.Domain, id model.Value, owner *NonAnon) *election {
-	return &election{
-		domain:   domain,
-		width:    domain.BitWidth(),
-		id:       id,
-		owner:    owner,
-		estimate: id,
-		phase:    alg2Prepare,
-	}
-}
-
-// rearm schedules an estimate reset to this process's own ID at the next
-// prepare boundary (mid-cycle resets would desynchronize the bit rounds).
-func (e *election) rearm() { e.pendingArm = true }
-
-// message produces this phase-1 round's broadcast, mirroring Alg2.Message
-// with the prepare gate applied.
-func (e *election) message(cmAdvice model.CMAdvice) *model.Message {
-	switch e.phase {
-	case alg2Prepare:
-		if e.pendingArm {
-			// Apply the re-arm at the cycle boundary, before this round's
-			// broadcast: a stale estimate must not re-propose the dead
-			// leader.
-			e.estimate = e.id
-			e.pendingArm = false
-		}
-		if cmAdvice != model.CMActive || e.owner.leaderBelievedAlive() {
-			return nil
-		}
-		e.owner.msg = model.Message{Kind: model.KindEstimate, Value: e.estimate}
-		return &e.owner.msg
-	case alg2Propose:
-		if valueset.Bit(e.estimate, e.bit, e.width) == 1 {
-			e.owner.msg = model.Message{Kind: model.KindVote}
-			return &e.owner.msg
-		}
-		return nil
-	case alg2Accept:
-		if !e.decideFlag {
-			e.owner.msg = model.Message{Kind: model.KindVeto}
-			return &e.owner.msg
-		}
-		return nil
-	default:
-		return nil
-	}
-}
-
-// deliver advances the cycle, mirroring Alg2.Deliver except that electing
-// installs a leader instead of halting.
-func (e *election) deliver(recv *model.RecvSet, cd model.CDAdvice) {
-	switch e.phase {
-	case alg2Prepare:
-		if e.pendingArm {
-			// Fallback for a re-arm that raced past message(): normally
-			// message() already applied it at the cycle boundary.
-			e.estimate = e.id
-			e.pendingArm = false
-		}
-		// Streaming minimum, like Alg2's prepare: no per-round value set.
-		if cd != model.CDCollision {
-			if v, ok := minEstimate(recv); ok {
-				e.estimate = v
-			}
-		}
-		e.decideFlag = true
-		e.bit = 1
-		e.phase = alg2Propose
-
-	case alg2Propose:
-		if (recv.Len() > 0 || cd == model.CDCollision) &&
-			valueset.Bit(e.estimate, e.bit, e.width) == 0 {
-			e.decideFlag = false
-		}
-		e.bit++
-		if e.bit > e.width {
-			e.phase = alg2Accept
-		}
-
-	case alg2Accept:
-		if e.decideFlag && recv.Len() == 0 && cd != model.CDCollision {
-			e.owner.installLeader(e.estimate)
-		}
-		e.phase = alg2Prepare
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"adhocconsensus/internal/detector"
 	"adhocconsensus/internal/loss"
 	"adhocconsensus/internal/model"
+	"adhocconsensus/internal/multiset"
 	"adhocconsensus/internal/valueset"
 )
 
@@ -207,6 +208,45 @@ func TestNonAnonSafeUnderAdversarialEnvironment(t *testing.T) {
 		procs, initial := nonAnonProcs(4, idD, valD, ids, values)
 		res := run(t, e, procs, initial)
 		mustAgreeAndBeValid(t, res)
+	}
+}
+
+// TestNonAnonPrepareGate drives one election-regime process by hand
+// through an election it wins and a dissemination that another process
+// vetoes: in the next prepare round it must stay silent although the
+// manager makes it active, because its leader (itself) is alive. Only a
+// leader believed dead reopens the contest.
+func TestNonAnonPrepareGate(t *testing.T) {
+	a := NewNonAnon(valueset.MustDomain(4), valueset.MustDomain(1024), 1, 500)
+	est := model.Message{Kind: model.KindEstimate, Value: 1}
+	vote := model.Message{Kind: model.KindVote}
+	veto := model.Message{Kind: model.KindVeto}
+	value := model.Message{Kind: model.KindLeaderValue, Value: 500}
+	// One election cycle over the 2-bit ID space takes the phase-1 rounds
+	// 1 (prepare), 4 and 7 (ID 1 = 01: silent, then vote) and 10 (accept);
+	// every phase-3 round carries a veto, so nobody decides.
+	for _, tc := range []struct {
+		r    int
+		send *model.Message
+		recv []model.Message
+	}{
+		{1, &est, []model.Message{est}}, {2, nil, nil}, {3, &veto, []model.Message{veto}},
+		{4, nil, nil}, {5, nil, nil}, {6, &veto, []model.Message{veto}},
+		{7, &vote, []model.Message{vote}}, {8, nil, nil}, {9, &veto, []model.Message{veto}},
+		{10, nil, nil}, {11, &value, []model.Message{value}}, {12, nil, []model.Message{veto}},
+		{13, nil, nil},
+	} {
+		m := a.Message(tc.r, model.CMActive)
+		if (m == nil) != (tc.send == nil) || m != nil && *m != *tc.send {
+			t.Fatalf("round %d: broadcast %v, want %v", tc.r, m, tc.send)
+		}
+		a.Deliver(tc.r, multiset.Of(tc.recv...), model.CDNull, model.CMActive)
+		if l, ok := a.Leader(); tc.r >= 10 && (!ok || l != 1) {
+			t.Fatalf("round %d: leader %d (%t), want itself", tc.r, l, ok)
+		}
+	}
+	if _, decided := a.Decided(); decided {
+		t.Fatal("decided although every phase-3 round carried a veto")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"adhocconsensus/internal/detector"
 	"adhocconsensus/internal/model"
+	"adhocconsensus/internal/seedstream"
 	"adhocconsensus/internal/sim"
 	"adhocconsensus/internal/valueset"
 )
@@ -328,7 +329,7 @@ func t5Build() ([]sim.Scenario, RenderFunc, error) {
 		valD := valueset.MustDomain(tc.vSize)
 		idD := valueset.MustDomain(tc.iSize)
 		n := 4
-		ids, err := valueset.RandomIDs(n, idD, 99)
+		ids, err := valueset.RandomIDs(n, idD, seedstream.NewV1(99))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -46,10 +46,11 @@
 //     columns, execution and Result for every trial;
 //   - the seeded components materialize builds from the declarative modes:
 //     the Probabilistic and Capture adversaries of both seed schedules, with
-//     their loss matrices, and the noisy detector's v1 generator. Each
-//     trial sets their parameters and reseeds their generators in place
-//     with rand.Rand.Seed, which draws exactly what a new seedstream.NewV1
-//     would (FuzzV1MatchesMathRand reseeds mid-stream).
+//     their loss matrices, the noisy detector's v1 generator and the v1
+//     generator of LeaderRelay's default IDs. Each trial sets their
+//     parameters and reseeds their generators in place with rand.Rand.Seed,
+//     which draws exactly what a new seedstream.NewV1 would
+//     (FuzzV1MatchesMathRand reseeds mid-stream).
 //
 // Everything else (automata, manager, detector, ECF wrapper, and whatever
 // BuildProc, BuildLoss and BuildBehavior return) is still constructed per

@@ -21,7 +21,10 @@ import (
 // (detector.CheckExecution), agreement, and strong validity. An Alg 1 or
 // Alg 2 system with ECF from CST and no crash must also terminate within
 // the bound T2 or T3 renders: Theorem 1's CST+2 or Theorem 2's
-// CST+2(⌈lg|V|⌉+1), each plus one round of phase-alignment slack.
+// CST+2(⌈lg|V|⌉+1), each plus one round of phase-alignment slack. Every
+// Alg 3 system, crashed or not and with or without ECF, must terminate
+// within the bound T4 renders for Theorem 3: the last crash round plus
+// 8·Height(|V|)+4. Crashed processes are exempt from every bound.
 func TestGeneratedSystemsSatisfyTheModel(t *testing.T) {
 	algs := []struct {
 		alg   Algorithm
@@ -86,20 +89,28 @@ func TestGeneratedSystemsSatisfyTheModel(t *testing.T) {
 				t.Fatalf("system %d (%+v): %v\n%s", i, s, err, res.Execution)
 			}
 		}
-		if s.ECFRound != cst || s.Crashes != nil {
-			continue
-		}
 		var bound int
-		switch a.alg {
-		case AlgPropose:
+		switch {
+		case a.alg == AlgTreeWalk:
+			lastCrash := 0
+			for _, c := range s.Crashes {
+				lastCrash = max(lastCrash, c.Round)
+			}
+			bound = lastCrash + 8*valueset.MustDomain(domain).Height() + 4
+		case s.ECFRound != cst || s.Crashes != nil:
+			continue
+		case a.alg == AlgPropose:
 			bound = cst + 3
-		case AlgBitByBit:
+		case a.alg == AlgBitByBit:
 			bound = cst + 2*(valueset.MustDomain(domain).BitWidth()+1) + 1
 		default:
 			continue
 		}
 		bounded++
 		for _, id := range res.Execution.Procs {
+			if _, crashed := s.Crashes[id]; crashed {
+				continue
+			}
 			if d, ok := res.Decisions[id]; !ok || d.Round > bound {
 				t.Fatalf("system %d (%+v): process %d decided %+v (decided=%v), want by round %d\n%s",
 					i, s, id, d, ok, bound, res.Execution)

@@ -231,7 +231,7 @@ func (s *Scenario) materialize(cfg *engine.Config, own *seeded) error {
 		}
 		ids := s.IDs
 		if len(ids) == 0 {
-			ids, err = valueset.RandomIDs(len(s.Values), idSpace, s.Seed+1)
+			ids, err = valueset.RandomIDs(len(s.Values), idSpace, reseed(&own.idDraws, s.Seed+1))
 			if err != nil {
 				return err
 			}
@@ -300,7 +300,7 @@ func (s *Scenario) buildDetector(own *seeded) *detector.Detector {
 	case s.BuildBehavior != nil:
 		behavior = s.BuildBehavior(s)
 	case s.FalsePositiveRate > 0:
-		behavior = detector.Noisy{P: s.FalsePositiveRate, Rng: own.noise(s.Seed + 2)}
+		behavior = detector.Noisy{P: s.FalsePositiveRate, Rng: reseed(&own.noiseDraws, s.Seed+2)}
 	}
 	return detector.New(class, detector.WithRace(race), detector.WithBehavior(behavior))
 }
@@ -367,28 +367,32 @@ func (s *Scenario) buildLoss(own *seeded) (loss.Adversary, error) {
 }
 
 // seeded holds the seeded components that materialize builds from the
-// declarative modes: the Probabilistic and Capture adversaries and the
-// noisy detector's generator, each constructed on first use. A sweep
-// worker keeps one set for the whole sweep, so the adversaries' loss
-// matrices and scratch keep their grown capacity. A trial that uses a
-// component sets every parameter and reseeds its v1 generator in place
-// with rand.Rand.Seed, which leaves it drawing exactly what a new
-// seedstream.NewV1 would, so nothing one trial drew or planned reaches the
-// next. From an empty set the same calls construct the components that
-// NewProbabilistic, NewCapture and their V2 forms would.
+// declarative modes: the Probabilistic and Capture adversaries, the noisy
+// detector's generator and LeaderRelay's default-ID generator, each
+// constructed on first use. A sweep worker keeps one set for the whole
+// sweep, so the adversaries' loss matrices and scratch keep their grown
+// capacity. A trial that uses a component sets every parameter and
+// reseeds its v1 generator in place with rand.Rand.Seed, which leaves it
+// drawing exactly what a new seedstream.NewV1 would, so nothing one trial
+// drew or planned reaches the next. From an empty set the same calls
+// construct the components that NewProbabilistic, NewCapture and their V2
+// forms would.
 type seeded struct {
 	prob       *loss.Probabilistic
 	capt       *loss.Capture
 	noiseDraws *rand.Rand
+	idDraws    *rand.Rand
 }
 
-// reseed returns the v1 generator for seed: rng reseeded, or a new one.
-func reseed(rng *rand.Rand, seed int64) *rand.Rand {
-	if rng == nil {
-		return seedstream.NewV1(seed)
+// reseed sets *rng to the v1 generator for seed, reseeding it in place or
+// building it on first use, and returns it.
+func reseed(rng **rand.Rand, seed int64) *rand.Rand {
+	if *rng == nil {
+		*rng = seedstream.NewV1(seed)
+	} else {
+		(*rng).Seed(seed)
 	}
-	rng.Seed(seed)
-	return rng
+	return *rng
 }
 
 // draws returns the seed schedule, v2 key and v1 generator of an adversary
@@ -398,13 +402,7 @@ func draws(rng *rand.Rand, seed int64, v2 bool) (int, int64, *rand.Rand) {
 	if v2 {
 		return seedstream.V2, seed, rng
 	}
-	return seedstream.V1, 0, reseed(rng, seed)
-}
-
-// noise returns the noisy detector's generator for seed.
-func (o *seeded) noise(seed int64) *rand.Rand {
-	o.noiseDraws = reseed(o.noiseDraws, seed)
-	return o.noiseDraws
+	return seedstream.V1, 0, reseed(&rng, seed)
 }
 
 // probabilistic returns the Probabilistic adversary losing with

@@ -135,40 +135,65 @@ func TestWorkerReuseMatchesFresh(t *testing.T) {
 }
 
 // TestWorkerTrialAllocations audits a warm worker's trial of the shape of
-// the benchmark's sweep-small jobs, run as a sweep runs it: Alg 2 on four
-// processes under v1 probabilistic loss, decisions only. It allocates 13
-// objects, against 40 when every trial copied its scenario and built its
-// own engine state, execution and v1 source:
-// the scenario's process and initial-value maps, the four automata, the
-// detector and its behavior option, the manager and ECF interface boxes,
-// and the decided-value digest.
+// the benchmark's sweep-small jobs, run as a sweep runs it: four processes
+// under v1 probabilistic loss, decisions only, CST 8. Alg 2, the
+// benchmark's automaton, allocates 13 objects, against 40 when every trial
+// copied its scenario and built its own engine state, execution and v1
+// source: the scenario's process and initial-value maps, the four
+// automata, the detector and its behavior option, the manager and ECF
+// interface boxes, and the decided-value digest. The other automata are
+// flat values with no per-round state on the heap, so they allocate the
+// same, except that Alg 3 boxes no manager (NoCM is zero-sized) and no ECF
+// wrapper (drop loss), and LeaderRelay adds its IDs slice, drawn from a
+// generator the worker reseeds in place.
 func TestWorkerTrialAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are noise under the race detector (sync.Pool drops puts)")
 	}
-	s := Scenario{
-		Algorithm:    AlgBitByBit,
-		Values:       []model.Value{1, 7920, 15839, 23758},
-		Race:         8,
-		Stable:       8,
-		ECFRound:     8,
-		Loss:         LossProbabilistic,
-		LossP:        0.3,
-		Crashes:      model.Schedule{},
-		Trace:        engine.TraceDecisionsOnly,
-		SeedSchedule: 1,
-	}
-	w := new(worker)
-	seed := int64(0)
-	run := func() {
-		seed++
-		s.Seed = TrialSeed(1, 0, int(seed))
-		if r := (Runner{}).guardedTrial(w, int(seed), &s); r.Err != nil || !r.AllDecided {
-			t.Fatalf("trial %d: %+v", seed, r)
-		}
-	}
-	run() // warm the worker and the receive-set pool
-	if allocs := testing.AllocsPerRun(200, run); allocs > 13 {
-		t.Fatalf("a warm worker's sweep-small trial allocates %.1f objects, want at most 13", allocs)
+	for _, tc := range []struct {
+		name      string
+		alg       Algorithm
+		domain    uint64
+		idSpace   uint64
+		loss      LossMode
+		maxAllocs float64
+	}{
+		{"bitbybit", AlgBitByBit, 0, 0, LossProbabilistic, 13},
+		{"propose", AlgPropose, 0, 0, LossProbabilistic, 13},
+		{"treewalk", AlgTreeWalk, 1 << 16, 0, LossDrop, 11},
+		{"leaderrelay-plain", AlgLeaderRelay, 0, 0, LossProbabilistic, 14},
+		{"leaderrelay-election", AlgLeaderRelay, 1 << 16, 16, LossProbabilistic, 14},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := Scenario{
+				Algorithm:    tc.alg,
+				Values:       []model.Value{1, 7920, 15839, 23758},
+				Domain:       tc.domain,
+				IDSpace:      tc.idSpace,
+				Race:         8,
+				Stable:       8,
+				Loss:         tc.loss,
+				LossP:        0.3,
+				Crashes:      model.Schedule{},
+				Trace:        engine.TraceDecisionsOnly,
+				SeedSchedule: 1,
+			}
+			if tc.alg != AlgTreeWalk {
+				s.ECFRound = 8
+			}
+			w := new(worker)
+			seed := int64(0)
+			run := func() {
+				seed++
+				s.Seed = TrialSeed(1, 0, int(seed))
+				if r := (Runner{}).guardedTrial(w, int(seed), &s); r.Err != nil || !r.AllDecided {
+					t.Fatalf("trial %d: %+v", seed, r)
+				}
+			}
+			run() // warm the worker and the receive-set pool
+			if allocs := testing.AllocsPerRun(200, run); allocs > tc.maxAllocs {
+				t.Fatalf("a warm worker's trial allocates %.1f objects, want at most %.0f", allocs, tc.maxAllocs)
+			}
+		})
 	}
 }

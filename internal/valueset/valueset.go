@@ -13,9 +13,9 @@ package valueset
 
 import (
 	"fmt"
+	"math/rand"
 
 	"adhocconsensus/internal/model"
-	"adhocconsensus/internal/seedstream"
 )
 
 // Domain is a finite value set V = {0, 1, ..., Size-1}.
@@ -108,6 +108,23 @@ func (d Domain) Height() int {
 
 func (n Node) span() uint64 { return n.Hi - n.Lo + 1 }
 
+// Parent returns the parent of node n, found by descending from the root,
+// so a walker that ascends needs no record of its path. ok is false at the
+// root and for a range that is not a node of the tree.
+func (d Domain) Parent(n Node) (parent Node, ok bool) {
+	for c := d.Root(); c != n; {
+		next, down := c.Left()
+		if n.Lo > uint64(c.Value()) {
+			next, down = c.Right()
+		}
+		if !down {
+			return Node{}, false
+		}
+		parent, ok, c = c, true, next
+	}
+	return parent, ok
+}
+
 // Value returns val[curr]: the value stored at this node (the range
 // midpoint).
 func (n Node) Value() model.Value { return model.Value(n.Lo + (n.Hi-n.Lo)/2) }
@@ -154,14 +171,14 @@ func (n Node) String() string {
 	return fmt.Sprintf("[%d,%d]@%d", n.Lo, n.Hi, uint64(n.Value()))
 }
 
-// RandomIDs draws n distinct identifiers from the identifier space, using a
-// deterministic seed. It models MAC-address-like or randomly chosen IDs
-// (Section 1.1). It returns an error if the space is too small.
-func RandomIDs(n int, space Domain, seed int64) ([]model.Value, error) {
+// RandomIDs draws n distinct identifiers from the identifier space with
+// rng, so a seeded generator gives the same IDs every time. It models
+// MAC-address-like or randomly chosen IDs (Section 1.1). It returns an
+// error if the space is too small.
+func RandomIDs(n int, space Domain, rng *rand.Rand) ([]model.Value, error) {
 	if uint64(n) > space.Size {
 		return nil, fmt.Errorf("valueset: cannot draw %d distinct IDs from a space of %d", n, space.Size)
 	}
-	rng := seedstream.NewV1(seed)
 	seen := make(map[model.Value]struct{}, n)
 	out := make([]model.Value, 0, n)
 	for len(out) < n {

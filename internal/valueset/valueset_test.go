@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"adhocconsensus/internal/model"
+	"adhocconsensus/internal/seedstream"
 )
 
 func TestNewDomain(t *testing.T) {
@@ -151,6 +152,36 @@ func TestBSTEveryValueReachable(t *testing.T) {
 	}
 }
 
+// TestBSTParent checks Parent against the descent it inverts: in every
+// domain of up to 70 values, the parent of each child is the node it hangs
+// from, the root has none, and a range that is no node has none.
+func TestBSTParent(t *testing.T) {
+	for size := uint64(1); size <= 70; size++ {
+		d := MustDomain(size)
+		if _, ok := d.Parent(d.Root()); ok {
+			t.Fatalf("size %d: the root has a parent", size)
+		}
+		for queue := []Node{d.Root()}; len(queue) > 0; queue = queue[1:] {
+			n := queue[0]
+			for _, child := range []func() (Node, bool){n.Left, n.Right} {
+				c, ok := child()
+				if !ok {
+					continue
+				}
+				if p, ok := d.Parent(c); !ok || p != n {
+					t.Fatalf("size %d: Parent(%v) = %v (%t), want %v", size, c, p, ok, n)
+				}
+				queue = append(queue, c)
+			}
+		}
+		if size > 2 {
+			if p, ok := d.Parent(Node{Lo: 1, Hi: size - 1}); ok {
+				t.Fatalf("size %d: a range that is no node has parent %v", size, p)
+			}
+		}
+	}
+}
+
 func TestNodeString(t *testing.T) {
 	if got := (Node{Lo: 2, Hi: 6}).String(); got != "[2,6]@4" {
 		t.Errorf("String = %q", got)
@@ -159,7 +190,7 @@ func TestNodeString(t *testing.T) {
 
 func TestRandomIDsDistinct(t *testing.T) {
 	space := MustDomain(1 << 16)
-	ids, err := RandomIDs(100, space, 7)
+	ids, err := RandomIDs(100, space, seedstream.NewV1(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,22 +205,22 @@ func TestRandomIDsDistinct(t *testing.T) {
 		seen[id] = true
 	}
 	// Deterministic under seed.
-	again, _ := RandomIDs(100, space, 7)
+	again, _ := RandomIDs(100, space, seedstream.NewV1(7))
 	for i := range ids {
 		if ids[i] != again[i] {
-			t.Fatal("RandomIDs not deterministic under seed")
+			t.Fatal("RandomIDs not deterministic under one seed")
 		}
 	}
 }
 
 func TestRandomIDsSpaceTooSmall(t *testing.T) {
-	if _, err := RandomIDs(10, MustDomain(5), 1); err == nil {
+	if _, err := RandomIDs(10, MustDomain(5), seedstream.NewV1(1)); err == nil {
 		t.Fatal("oversubscribed ID space accepted")
 	}
 }
 
 func TestRandomIDsExactFill(t *testing.T) {
-	ids, err := RandomIDs(8, MustDomain(8), 3)
+	ids, err := RandomIDs(8, MustDomain(8), seedstream.NewV1(3))
 	if err != nil || len(ids) != 8 {
 		t.Fatalf("exact fill failed: %v", err)
 	}
