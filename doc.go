@@ -234,6 +234,10 @@
 //   - resumable shards: sink.ReadRecordsPartial salvages the valid
 //     record prefix of a torn shard file (a crash mid-write leaves at
 //     most one broken final line); sink.ReadRecords is its strict mode.
+//     A line in the form the shard writer writes is decoded in one pass
+//     by hand, and every other line by encoding/json, so the lines
+//     accepted and rejected, the records read and the error texts are
+//     those of encoding/json alone.
 //     "sweeprun run -resume" checks each salvaged record with the
 //     segment's replay.Plan at its shard position — experiment, global
 //     index, seed, seed schedule, params, fingerprint — then truncates

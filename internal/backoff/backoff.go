@@ -14,7 +14,7 @@ package backoff
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"adhocconsensus/internal/cm"
 	"adhocconsensus/internal/model"
@@ -26,7 +26,8 @@ import (
 const maxWindow = 1 << 12
 
 // Manager is a backoff-based contention manager. Create with New; it is a
-// cm.Service and a cm.Observer, and must observe every round it advises.
+// cm.Service, a cm.DenseAdviser and a cm.Observer, and must observe every
+// round it advises.
 type Manager struct {
 	rng     *rand.Rand
 	window  map[model.ProcessID]int
@@ -37,8 +38,9 @@ type Manager struct {
 }
 
 var (
-	_ cm.Service  = (*Manager)(nil)
-	_ cm.Observer = (*Manager)(nil)
+	_ cm.Service      = (*Manager)(nil)
+	_ cm.DenseAdviser = (*Manager)(nil)
+	_ cm.Observer     = (*Manager)(nil)
 )
 
 // New returns a backoff manager with a deterministic seed.
@@ -55,39 +57,54 @@ func (m *Manager) Stabilized() (model.ProcessID, bool) { return m.winner, m.have
 
 // Advise implements cm.Service. While unstabilized, each alive process is
 // advised active with probability 1/window; windows start at 1 (everyone
-// contends) and grow under collision feedback.
-func (m *Manager) Advise(_ int, procs []model.ProcessID, alive func(model.ProcessID) bool) map[model.ProcessID]model.CMAdvice {
-	out := make(map[model.ProcessID]model.CMAdvice, len(procs))
-	if m.haveWinner && (alive == nil || alive(m.winner)) {
-		for _, id := range procs {
-			out[id] = model.CMPassive
+// contends) and grow under collision feedback. The draws go in ascending
+// ID order, whatever the order of procs.
+func (m *Manager) Advise(r int, procs []model.ProcessID, alive func(model.ProcessID) bool) map[model.ProcessID]model.CMAdvice {
+	sorted := slices.Clone(procs)
+	slices.Sort(sorted)
+	advice := make([]model.CMAdvice, len(sorted))
+	m.AdviseInto(r, sorted, alive, advice)
+	out := make(map[model.ProcessID]model.CMAdvice, len(sorted))
+	for i, id := range sorted {
+		out[id] = advice[i]
+	}
+	return out
+}
+
+// AdviseInto implements cm.DenseAdviser without allocating: out[i] is the
+// advice for procs[i]. On a table sorted by ID, such as the engine's, it
+// draws in table order; any other table goes through Advise's sort.
+func (m *Manager) AdviseInto(r int, procs []model.ProcessID, alive func(model.ProcessID) bool, out []model.CMAdvice) {
+	if !slices.IsSorted(procs) {
+		advice := m.Advise(r, procs, alive)
+		for i, id := range procs {
+			out[i] = advice[id]
 		}
-		out[m.winner] = model.CMActive
-		m.advised = []model.ProcessID{m.winner}
-		return out
+		return
+	}
+	if m.haveWinner && (alive == nil || alive(m.winner)) {
+		for i, id := range procs {
+			out[i] = model.CMPassive
+			if id == m.winner {
+				out[i] = model.CMActive
+			}
+		}
+		m.advised = append(m.advised[:0], m.winner)
+		return
 	}
 	m.haveWinner = false
-
-	sorted := make([]model.ProcessID, len(procs))
-	copy(sorted, procs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-
 	m.advised = m.advised[:0]
-	for _, id := range sorted {
-		out[id] = model.CMPassive
+	for i, id := range procs {
+		out[i] = model.CMPassive
 		if alive != nil && !alive(id) {
 			continue
 		}
-		w := m.window[id]
-		if w < 1 {
-			w = 1
-		}
+		w := max(m.window[id], 1)
 		if m.rng.Intn(w) == 0 {
-			out[id] = model.CMActive
+			out[i] = model.CMActive
 			m.advised = append(m.advised, id)
 		}
 	}
-	return out
 }
 
 // Observe implements cm.Observer: channel feedback after each round. Two or

@@ -165,3 +165,92 @@ func TestSingleProcessStabilizesImmediately(t *testing.T) {
 		t.Fatalf("lone contender: rwake=%d err=%v, want 1,nil", rwake, err)
 	}
 }
+
+// TestAdviseIntoMatchesAdvise: managers built from one seed give the same
+// advice round for round whether asked through Advise or AdviseInto, and
+// whatever the order of the table, through contention, lock-in, the
+// winner's crash and contention again.
+func TestAdviseIntoMatchesAdvise(t *testing.T) {
+	sorted, shuffled := procRange(6), []model.ProcessID{5, 2, 6, 1, 4, 3}
+	byMap, dense, unsorted := New(9), New(9), New(9)
+	out := make([]model.CMAdvice, len(sorted))
+	outU := make([]model.CMAdvice, len(shuffled))
+	var dead, first model.ProcessID
+	alive := func(id model.ProcessID) bool { return id != dead }
+	for r := 1; r <= 400; r++ {
+		if r == 200 {
+			first, _ = byMap.Stabilized()
+			dead = first
+		}
+		want := byMap.Advise(r, sorted, alive)
+		dense.AdviseInto(r, sorted, alive, out)
+		unsorted.AdviseInto(r, shuffled, alive, outU)
+		broadcasters := 0
+		for i, id := range sorted {
+			if out[i] != want[id] {
+				t.Fatalf("round %d process %d: AdviseInto %v, Advise %v", r, id, out[i], want[id])
+			}
+			if out[i] == model.CMActive && alive(id) {
+				broadcasters++
+			}
+		}
+		for i, id := range shuffled {
+			if outU[i] != want[id] {
+				t.Fatalf("round %d process %d: AdviseInto over an unsorted table %v, Advise %v", r, id, outU[i], want[id])
+			}
+		}
+		for _, m := range []*Manager{byMap, dense, unsorted} {
+			m.Observe(r, broadcasters)
+		}
+	}
+	if second, ok := byMap.Stabilized(); first == 0 || !ok || second == first {
+		t.Fatalf("the run did not lock in, lose and replace a winner (first %d, last %d, locked %t)", first, second, ok)
+	}
+}
+
+// contender broadcasts its value exactly when advised active, so the
+// manager's channel feedback is its own advice.
+type contender struct{ msg model.Message }
+
+func (c *contender) Message(_ int, a model.CMAdvice) *model.Message {
+	if a == model.CMActive {
+		return &c.msg
+	}
+	return nil
+}
+func (c *contender) Deliver(int, *model.RecvSet, model.CDAdvice, model.CMAdvice) {}
+
+// TestEngineSteadyStateAllocations: once the manager has locked in a
+// winner, an engine round with it allocates nothing, so the allocation
+// count of a run does not grow with its length.
+func TestEngineSteadyStateAllocations(t *testing.T) {
+	run := func(rounds int) func() {
+		return func() {
+			procs := make(map[model.ProcessID]model.Automaton, 4)
+			for p := model.ProcessID(1); p <= 4; p++ {
+				procs[p] = &contender{msg: model.Message{Kind: model.KindEstimate, Value: model.Value(p)}}
+			}
+			m := New(5)
+			if _, err := engine.Run(engine.Config{
+				Procs:          procs,
+				CM:             m,
+				Loss:           loss.NewProbabilistic(0.3, 7),
+				MaxRounds:      rounds,
+				RunFullHorizon: true,
+				Trace:          engine.TraceDecisionsOnly,
+			}); err != nil {
+				t.Error(err)
+			}
+			if _, ok := m.Stabilized(); !ok {
+				t.Errorf("no winner after %d rounds", rounds)
+			}
+		}
+	}
+	run(64)() // warm the receive-set pool
+	short := testing.AllocsPerRun(20, run(64))
+	long := testing.AllocsPerRun(20, run(576))
+	if perRound := (long - short) / 512; perRound > 0.05 {
+		t.Fatalf("stabilized backoff rounds allocate %.2f objects/round (short run %.0f, long run %.0f allocs), want 0",
+			perRound, short, long)
+	}
+}

@@ -90,19 +90,20 @@ func ParseEvent(line []byte) (Event, error) {
 	return e, nil
 }
 
-// ReadEvents decodes a persisted journal stream.
+// ReadEvents decodes a persisted journal stream. A failing line is named by
+// its 1-based position in the stream, blank lines counted.
 func ReadEvents(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var out []Event
-	for sc.Scan() {
+	for n := 1; sc.Scan(); n++ {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
 		e, err := ParseEvent(line)
 		if err != nil {
-			return out, fmt.Errorf("events: line %d: %w", len(out)+1, err)
+			return out, fmt.Errorf("events: line %d: %w", n, err)
 		}
 		out = append(out, e)
 	}

@@ -44,19 +44,26 @@ func TestAppendParseRoundTrip(t *testing.T) {
 	}
 }
 
+// seedEvents put control bytes, quotes, backslashes, multi-byte runes and
+// an invalid byte in every string field, and an empty type in one event.
+var seedEvents = []Event{
+	{Seq: 1, TimeNs: 42, Type: "job.begin", Span: 3, Job: 7, Trial: NoTrial},
+	{Seq: 2, TimeNs: 43, Type: TypeQuarantine, Parent: 4, Job: 7, Seg: "T3", Trial: 0, Cause: CausePanic},
+	{Seq: 3, TimeNs: -1, Type: "a\x07b", Seg: "a\x07b", Trial: 5, N: -1, Cause: "\x00\x1f\x7f"},
+	{Seq: 4, Type: "\xff", Span: 1, Parent: 2, Job: -3, Seg: "seg\xff", Trial: NoTrial, N: 9, Cause: "x\"y\\z\n\t"},
+	{Seq: ^uint64(0), TimeNs: -1 << 63, Type: "ü\u2028日本", Parent: ^uint64(0), Job: 1, Seg: "\u00e9", Trial: 1 << 62, N: 1, Cause: "\r"},
+	{Seq: 6, TimeNs: 7, Trial: NoTrial},
+}
+
 // FuzzAppendParseEvent checks that the line AppendEvent writes for any
 // Event with a type is one terminated line that ParseEvent accepts, and
 // that the round trip is exact when the string fields are valid UTF-8 (a
-// JSON decoder reads an invalid byte as U+FFFD). The seed corpus puts
-// control bytes, quotes, backslashes, multi-byte runes and an invalid byte
-// in every string field.
+// JSON decoder reads an invalid byte as U+FFFD). The seed corpus is
+// seedEvents.
 func FuzzAppendParseEvent(f *testing.F) {
-	f.Add(uint64(1), int64(42), "job.begin", uint64(3), uint64(0), int64(7), "", NoTrial, int64(0), "")
-	f.Add(uint64(2), int64(43), TypeQuarantine, uint64(0), uint64(4), int64(7), "T3", int64(0), int64(0), CausePanic)
-	f.Add(uint64(3), int64(-1), "a\x07b", uint64(0), uint64(0), int64(0), "a\x07b", int64(5), int64(-1), "\x00\x1f\x7f")
-	f.Add(uint64(4), int64(0), "\xff", uint64(1), uint64(2), int64(-3), "seg\xff", NoTrial, int64(9), "x\"y\\z\n\t")
-	f.Add(^uint64(0), int64(-1)<<63, "ü\u2028日本", uint64(0), ^uint64(0), int64(1), "\u00e9", int64(1)<<62, int64(1), "\r")
-	f.Add(uint64(6), int64(7), "", uint64(0), uint64(0), int64(0), "", NoTrial, int64(0), "")
+	for _, e := range seedEvents {
+		f.Add(e.Seq, e.TimeNs, e.Type, e.Span, e.Parent, e.Job, e.Seg, e.Trial, e.N, e.Cause)
+	}
 	f.Fuzz(func(t *testing.T, seq uint64, ts int64, typ string, span, parent uint64, job int64, seg string, trial, n int64, cause string) {
 		e := Event{Seq: seq, TimeNs: ts, Type: typ, Span: span, Parent: parent, Job: job, Seg: seg, Trial: trial, N: n, Cause: cause}
 		line := AppendEvent(nil, e)
@@ -77,6 +84,56 @@ func FuzzAppendParseEvent(f *testing.F) {
 			t.Fatalf("%q round-tripped to %+v, want %+v", line, got, e)
 		}
 	})
+}
+
+// FuzzParseEvent feeds ParseEvent arbitrary bytes: it must not panic, and
+// any line it accepts must re-encode through AppendEvent to a line it
+// accepts as an equal Event. The seed corpus is the lines of
+// FuzzAppendParseEvent's events, null, an empty type, a null trial and
+// invalid UTF-8; tier-1 runs only the corpus.
+func FuzzParseEvent(f *testing.F) {
+	for _, e := range seedEvents {
+		f.Add(AppendEvent(nil, e))
+	}
+	for _, line := range []string{
+		`null`, `{"ev":""}`, `{"seq":1,"ev":"job.begin","trial":null}`,
+		"{\"ev\":\"\xff\xfe\",\"seg\":\"a\xc3\"}", `{"ev":"x","EV":"y","trial":-1,"n":1e3}`,
+	} {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		e, err := ParseEvent(line)
+		if err != nil {
+			return
+		}
+		again := AppendEvent(nil, e)
+		got, err := ParseEvent(again)
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, whose line %q does not parse: %v", line, e, again, err)
+		}
+		if got != e {
+			t.Fatalf("%q parsed to %+v, whose line %q parses to %+v", line, e, again, got)
+		}
+	})
+}
+
+// TestReadEventsNamesPhysicalLine: a bad line is named by its position in
+// the stream, blank lines and earlier events counted.
+func TestReadEventsNamesPhysicalLine(t *testing.T) {
+	good := string(AppendEvent(nil, seedEvents[0]))
+	for stream, want := range map[string]string{
+		"\n\nnot json\n":           "line 3:",
+		good + "\n" + good + "{\n": "line 4:",
+		good + `{"seq":1}` + "\n":  "line 2:",
+	} {
+		evs, err := ReadEvents(strings.NewReader(stream))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want one naming %s", stream, err, want)
+		}
+		if len(evs) != strings.Count(stream, good) {
+			t.Errorf("%q: %d events before the bad line, want %d", stream, len(evs), strings.Count(stream, good))
+		}
+	}
 }
 
 func TestCountTypes(t *testing.T) {

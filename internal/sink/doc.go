@@ -48,7 +48,11 @@
 // the shard layout, and records carry global indices. ReadRecords reads a
 // shard file back; it is the strict mode of ReadRecordsPartial, the one
 // line reader, failing with the positioned defect where a salvage read
-// would cut a torn tail off. Merge re-sorts records, verifies a complete
+// would cut a torn tail off. The reader decodes a line in the writer's own
+// form (key order, no whitespace, literal forms) in one pass by hand and
+// hands every other line to encoding/json, so what it accepts, rejects and
+// decodes is exactly what encoding/json would; FuzzDecodeRecord checks the
+// two against each other. Merge re-sorts records, verifies a complete
 // non-overlapping 0..n-1 cover, and reconstructs the exact []sim.Result
 // slice of the unsharded run. Whether each record is the one this build
 // writes at its index — its experiment, seed, seed schedule, params and

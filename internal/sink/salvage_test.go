@@ -161,3 +161,21 @@ func FuzzReadRecordsPartial(f *testing.F) {
 		}
 	})
 }
+
+// TestReadersAgreeOnLongLines: a record longer than the reader's 64 KiB
+// buffer reads whole, and the torn tail after it is still cut off.
+func TestReadersAgreeOnLongLines(t *testing.T) {
+	stream, lines := salvageFile()
+	long := Record{Schema: Schema, Index: 3, Err: strings.Repeat("x", 1<<16+100)}
+	b := append(append([]byte(nil), stream...), appendRecord(nil, long)...)
+	for _, end := range [][]byte{nil, lines[2][:len(lines[2])/2], []byte("{not json}\n")} {
+		torn := append(append([]byte(nil), b...), end...)
+		if err := readersAgree(torn); err != nil {
+			t.Errorf("long record then %q: %v", end, err)
+		}
+		recs, valid, tail := ReadRecordsPartial(bytes.NewReader(torn))
+		if len(recs) != 4 || !reflect.DeepEqual(recs[3], long) || valid != int64(len(b)) {
+			t.Fatalf("long record then %q: read %d records, %d valid bytes of %d, tail %v", end, len(recs), valid, len(b), tail)
+		}
+	}
+}
