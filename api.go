@@ -22,8 +22,9 @@ type Value = model.Value
 // ProcessID identifies a process (1-based in reports).
 type ProcessID = model.ProcessID
 
-// Algorithm selects one of the paper's consensus algorithms.
-type Algorithm int
+// Algorithm selects one of the paper's consensus algorithms. String is its
+// display name.
+type Algorithm = sim.Algorithm
 
 // The four algorithms of Section 7.
 const (
@@ -31,36 +32,20 @@ const (
 	// constant-time after stabilization; requires a majority-complete
 	// eventually-accurate detector (maj-◇AC) and eventual collision
 	// freedom.
-	AlgorithmPropose Algorithm = iota + 1
+	AlgorithmPropose = sim.AlgPropose
 	// AlgorithmBitByBit is Algorithm 2: one round per value bit; works
 	// with the weakest useful detector (0-◇AC) under eventual collision
 	// freedom; O(lg|V|) rounds after stabilization.
-	AlgorithmBitByBit
+	AlgorithmBitByBit = sim.AlgBitByBit
 	// AlgorithmTreeWalk is Algorithm 3: lockstep walk of a BST over the
 	// value domain; requires an always-accurate zero-complete detector
 	// (0-AC) but NO message delivery guarantee and no contention manager.
-	AlgorithmTreeWalk
+	AlgorithmTreeWalk = sim.AlgTreeWalk
 	// AlgorithmLeaderRelay is the §7.3 non-anonymous algorithm: elect a
 	// leader over the (small) identifier space by Algorithm 2, then relay
 	// the leader's value; O(min{lg|V|, lg|I|}) rounds.
-	AlgorithmLeaderRelay
+	AlgorithmLeaderRelay = sim.AlgLeaderRelay
 )
-
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgorithmPropose:
-		return "propose-veto (Alg 1)"
-	case AlgorithmBitByBit:
-		return "bit-by-bit (Alg 2)"
-	case AlgorithmTreeWalk:
-		return "tree-walk (Alg 3)"
-	case AlgorithmLeaderRelay:
-		return "leader-relay (§7.3)"
-	default:
-		return fmt.Sprintf("algorithm(%d)", int(a))
-	}
-}
 
 // DetectorClass re-exports the collision detector classes of Figure 1.
 type DetectorClass = detector.Class
@@ -80,41 +65,41 @@ var (
 )
 
 // ContentionMode selects the contention manager.
-type ContentionMode int
+type ContentionMode = sim.CMMode
 
 // Contention manager choices.
 const (
 	// ContentionAuto picks what the algorithm expects: a wake-up service
 	// for Algorithms 1/2 and leader-relay, none for the tree walk.
-	ContentionAuto ContentionMode = iota
+	ContentionAuto = sim.CMAuto
 	// ContentionWakeUp stabilizes to one (rotating) active process at
 	// round Stable.
-	ContentionWakeUp
+	ContentionWakeUp = sim.CMWakeUp
 	// ContentionLeader stabilizes to one fixed active process at Stable.
-	ContentionLeader
+	ContentionLeader = sim.CMLeader
 	// ContentionBackoff runs the binary-exponential-backoff substrate; the
 	// stabilization round is then probabilistic.
-	ContentionBackoff
+	ContentionBackoff = sim.CMBackoff
 	// ContentionNone advises everyone active every round.
-	ContentionNone
+	ContentionNone = sim.CMNone
 )
 
 // LossMode selects the channel's loss behavior.
-type LossMode int
+type LossMode = sim.LossMode
 
 // Channel loss models.
 const (
 	// LossNone delivers everything.
-	LossNone LossMode = iota
+	LossNone = sim.LossNone
 	// LossProbabilistic drops each delivery independently with probability
 	// P (the 20–50% regimes of the empirical studies in §1.1).
-	LossProbabilistic
+	LossProbabilistic = sim.LossProbabilistic
 	// LossCapture models the capture effect: in a collision each receiver
 	// locks onto at most one transmission.
-	LossCapture
+	LossCapture = sim.LossCapture
 	// LossDrop loses every cross-process message forever (the no-ECF
 	// environment of Algorithm 3).
-	LossDrop
+	LossDrop = sim.LossDrop
 )
 
 // Seed-schedule versions: how a trial's seed expands into the per-round
@@ -284,47 +269,13 @@ func (c Config) Run() (*Report, error) {
 // one-to-one: every default and seed offset matches the pre-sim builder,
 // so a Config reproduces its historical executions bit for bit.
 func (c Config) toScenario() (sim.Scenario, error) {
-	var alg sim.Algorithm
-	switch c.Algorithm {
-	case AlgorithmPropose:
-		alg = sim.AlgPropose
-	case AlgorithmBitByBit:
-		alg = sim.AlgBitByBit
-	case AlgorithmTreeWalk:
-		alg = sim.AlgTreeWalk
-	case AlgorithmLeaderRelay:
-		alg = sim.AlgLeaderRelay
-	default:
+	if c.Algorithm < AlgorithmPropose || c.Algorithm > AlgorithmLeaderRelay {
 		return sim.Scenario{}, fmt.Errorf("adhocconsensus: unknown algorithm %v", c.Algorithm)
 	}
-
-	var cmMode sim.CMMode
-	switch c.Contention {
-	case ContentionAuto:
-		cmMode = sim.CMAuto
-	case ContentionWakeUp:
-		cmMode = sim.CMWakeUp
-	case ContentionLeader:
-		cmMode = sim.CMLeader
-	case ContentionBackoff:
-		cmMode = sim.CMBackoff
-	case ContentionNone:
-		cmMode = sim.CMNone
-	default:
+	if c.Contention < ContentionAuto || c.Contention > ContentionNone {
 		return sim.Scenario{}, fmt.Errorf("adhocconsensus: unknown contention mode %d", c.Contention)
 	}
-
-	var lossMode sim.LossMode
-	switch c.Loss {
-	case LossNone:
-		lossMode = sim.LossNone
-	case LossProbabilistic:
-		lossMode = sim.LossProbabilistic
-	case LossCapture:
-		lossMode = sim.LossCapture
-	case LossDrop:
-		lossMode = sim.LossDrop
-	default:
+	if c.Loss < LossNone || c.Loss > LossDrop {
 		return sim.Scenario{}, fmt.Errorf("adhocconsensus: unknown loss mode %d", c.Loss)
 	}
 
@@ -342,7 +293,7 @@ func (c Config) toScenario() (sim.Scenario, error) {
 		trace = engine.TraceDecisionsOnly
 	}
 	return sim.Scenario{
-		Algorithm:         alg,
+		Algorithm:         c.Algorithm,
 		Values:            c.Values,
 		Domain:            c.Domain,
 		IDs:               c.IDs,
@@ -350,9 +301,9 @@ func (c Config) toScenario() (sim.Scenario, error) {
 		Detector:          c.DetectorClass,
 		Race:              c.DetectorRace,
 		FalsePositiveRate: c.FalsePositiveRate,
-		CM:                cmMode,
+		CM:                c.Contention,
 		Stable:            c.Stable,
-		Loss:              lossMode,
+		Loss:              c.Loss,
 		LossP:             c.LossP,
 		ECFRound:          c.ECFRound,
 		Crashes:           crashes,
@@ -564,15 +515,15 @@ func (c Config) StreamTrialsFrom(ctx context.Context, trials, workers, shard, sh
 	baseParams := sink.ParamsOf(base)
 	baseParams.SweepSeed = c.Seed // part of a sweep's identity, unlike trial seeds
 	fingerprint := baseParams.Fingerprint()
-	start := shard + skip*shards
 	var shardTrials []sim.Trial
-	if start < trials {
-		shardTrials = make([]sim.Trial, 0, (trials-start+shards-1)/shards)
-	}
-	for t := start; t < trials; t += shards {
-		s := base
-		s.Seed = sim.TrialSeed(c.Seed, 0, t)
-		shardTrials = append(shardTrials, sim.Trial{Index: t, Scenario: s})
+	if n := sim.ShardLen(trials, shard, shards); skip < n {
+		shardTrials = make([]sim.Trial, 0, n-skip)
+		for k := skip; k < n; k++ {
+			t := shard + k*shards
+			s := base
+			s.Seed = sim.TrialSeed(c.Seed, 0, t)
+			shardTrials = append(shardTrials, sim.Trial{Index: t, Scenario: s})
+		}
 	}
 	runner := sim.Runner{Workers: workers, TrialTimeout: c.TrialTimeout}
 	err = runner.SweepTrialsToCtx(ctx, shardTrials, trialAdapter{sink: out, fingerprint: fingerprint})

@@ -19,6 +19,25 @@ func TestRunRejectsUnknownAlgorithm(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOutOfRangeModes pins the errors for values outside the
+// public enumerations, the A1 ablation variant included.
+func TestRunRejectsOutOfRangeModes(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Algorithm: 99}, "adhocconsensus: unknown algorithm algorithm(99)"},
+		{Config{Algorithm: 5}, "adhocconsensus: unknown algorithm algorithm(5)"},
+		{Config{Algorithm: AlgorithmPropose, Contention: 7}, "adhocconsensus: unknown contention mode 7"},
+		{Config{Algorithm: AlgorithmPropose, Loss: -1}, "adhocconsensus: unknown loss mode -1"},
+	} {
+		tc.cfg.Values = []Value{1}
+		if _, err := tc.cfg.Run(); err == nil || err.Error() != tc.want {
+			t.Errorf("%+v: error %v, want %q", tc.cfg, err, tc.want)
+		}
+	}
+}
+
 func TestRunRejectsValueOutsideDomain(t *testing.T) {
 	cfg := Config{Algorithm: AlgorithmBitByBit, Values: []Value{9}, Domain: 4}
 	if _, err := cfg.Run(); err == nil {

@@ -1,9 +1,9 @@
 package adhocconsensus
 
 // The benchmark harness: one benchmark per table/figure of EXPERIMENTS.md
-// (BenchmarkT1..T9, BenchmarkA1..A3), each regenerating its experiment and
-// failing if the experiment's internal paper-shape checks fail, plus
-// micro-benchmarks for the simulator itself. Run:
+// (BenchmarkT1..T9, BenchmarkA1..A3, BenchmarkM1), each regenerating its
+// experiment and failing if the experiment's internal paper-shape checks
+// fail, plus micro-benchmarks for the simulator itself. Run:
 //
 //	go test -bench=. -benchmem .
 //
@@ -30,12 +30,16 @@ import (
 	"adhocconsensus/internal/valueset"
 )
 
-// benchTable runs an experiment table per iteration and fails the benchmark
-// if the experiment's internal checks fail.
-func benchTable(b *testing.B, fn func() (*experiments.Table, error)) {
+// benchTable runs the named experiment's table per iteration and fails the
+// benchmark if the experiment's internal checks fail.
+func benchTable(b *testing.B, name string) {
 	b.Helper()
+	e, err := experiments.ByName(name)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		table, err := fn()
+		table, err := e.Run(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,43 +50,43 @@ func benchTable(b *testing.B, fn func() (*experiments.Table, error)) {
 }
 
 // BenchmarkT1ClassMatrix regenerates Figure 1 + the §1.5 solvability matrix.
-func BenchmarkT1ClassMatrix(b *testing.B) { benchTable(b, experiments.T1ClassMatrix) }
+func BenchmarkT1ClassMatrix(b *testing.B) { benchTable(b, "T1") }
 
 // BenchmarkT2Alg1Termination measures Theorem 1 (Alg 1 ≤ CST+2).
-func BenchmarkT2Alg1Termination(b *testing.B) { benchTable(b, experiments.T2Alg1Termination) }
+func BenchmarkT2Alg1Termination(b *testing.B) { benchTable(b, "T2") }
 
 // BenchmarkT3Alg2ValueSweep measures Theorem 2 (Alg 2 ≤ CST+2(lg|V|+1)).
-func BenchmarkT3Alg2ValueSweep(b *testing.B) { benchTable(b, experiments.T3Alg2ValueSweep) }
+func BenchmarkT3Alg2ValueSweep(b *testing.B) { benchTable(b, "T3") }
 
 // BenchmarkT4Alg3NoCF measures Theorem 3 (Alg 3 ≤ 8·lg|V| after failures).
-func BenchmarkT4Alg3NoCF(b *testing.B) { benchTable(b, experiments.T4Alg3NoCF) }
+func BenchmarkT4Alg3NoCF(b *testing.B) { benchTable(b, "T4") }
 
 // BenchmarkT5NonAnonCrossover measures the §7.3 min{lg|V|, lg|I|} result.
-func BenchmarkT5NonAnonCrossover(b *testing.B) { benchTable(b, experiments.T5Crossover) }
+func BenchmarkT5NonAnonCrossover(b *testing.B) { benchTable(b, "T5") }
 
 // BenchmarkT6HalfACLowerBound runs the Theorem 6 pigeonhole + composition.
-func BenchmarkT6HalfACLowerBound(b *testing.B) { benchTable(b, experiments.T6HalfACLowerBound) }
+func BenchmarkT6HalfACLowerBound(b *testing.B) { benchTable(b, "T6") }
 
 // BenchmarkT7NoCFLowerBound runs the Theorem 7 non-anonymous search.
-func BenchmarkT7NoCFLowerBound(b *testing.B) { benchTable(b, experiments.T7NonAnonLowerBound) }
+func BenchmarkT7NoCFLowerBound(b *testing.B) { benchTable(b, "T7") }
 
 // BenchmarkT8MajHalfGap runs the majority/half single-message separation.
-func BenchmarkT8MajHalfGap(b *testing.B) { benchTable(b, experiments.T8MajHalfGap) }
+func BenchmarkT8MajHalfGap(b *testing.B) { benchTable(b, "T8") }
 
 // BenchmarkT9Impossibility runs the Theorem 4/8/9 constructions.
-func BenchmarkT9Impossibility(b *testing.B) { benchTable(b, experiments.T9Impossibility) }
+func BenchmarkT9Impossibility(b *testing.B) { benchTable(b, "T9") }
 
 // BenchmarkA1NoVetoAblation runs the veto-phase ablation.
-func BenchmarkA1NoVetoAblation(b *testing.B) { benchTable(b, experiments.A1NoVetoAblation) }
+func BenchmarkA1NoVetoAblation(b *testing.B) { benchTable(b, "A1") }
 
 // BenchmarkA2LossRateSweep runs the empirical-loss-rate sweep.
-func BenchmarkA2LossRateSweep(b *testing.B) { benchTable(b, experiments.A2LossRateSweep) }
+func BenchmarkA2LossRateSweep(b *testing.B) { benchTable(b, "A2") }
 
 // BenchmarkA3Substrates measures the backoff and round-sync substrates.
-func BenchmarkA3Substrates(b *testing.B) { benchTable(b, experiments.A3Substrates) }
+func BenchmarkA3Substrates(b *testing.B) { benchTable(b, "A3") }
 
 // BenchmarkM1MultihopFlood measures the multihop flooding extension.
-func BenchmarkM1MultihopFlood(b *testing.B) { benchTable(b, experiments.M1MultihopFlood) }
+func BenchmarkM1MultihopFlood(b *testing.B) { benchTable(b, "M1") }
 
 // --- micro-benchmarks of the simulator and library ---
 
@@ -206,11 +210,12 @@ func BenchmarkSweepJSONL(b *testing.B) {
 // magnitude cheaper: that gap is what makes re-rendering a month-old
 // multi-machine run from its merged JSONL effectively free.
 func BenchmarkReplayRender(b *testing.B) {
-	e, ok := experiments.GridExperimentByName("A2")
-	if !ok {
-		b.Fatal("no A2 grid experiment")
+	e, err := experiments.ByName("A2")
+	if err != nil {
+		b.Fatal(err)
 	}
-	scenarios, _, err := e.Build()
+	g, _ := e.Grid()
+	scenarios, _, err := g.Build()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -237,7 +242,7 @@ func BenchmarkReplayRender(b *testing.B) {
 	b.Run("resimulate", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			table, err := e.Run()
+			table, err := e.Run(0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,16 +1,17 @@
 // Command benchtab regenerates every table of EXPERIMENTS.md: the Figure-1
 // solvability matrix, the termination-bound measurements for Theorems 1–3
-// and §7.3, the executable lower bounds (Theorems 4, 6, 7, 8, 9), and the
-// ablations. Run with no arguments for all tables, or name experiments:
+// and §7.3, the executable lower bounds (Theorems 4, 6, 7, 8, 9), the
+// ablations and the multihop extension. Run with no arguments for all
+// tables, or name experiments (in any case):
 //
 //	benchtab                # everything
 //	benchtab T3 T8 A1       # a subset
-//	benchtab -workers 8 T2  # sweep on 8 workers (default GOMAXPROCS)
+//	benchtab -workers 8 T2  # on 8 workers (default GOMAXPROCS)
 //
-// Every experiment is a declarative scenario grid executed by the parallel
-// sweep runner (internal/sim); tables are byte-identical for any -workers
-// value. The tables are produced by the same internal/experiments code the
-// test suite and the bench harness use.
+// The tables come in table order from internal/experiments' registry, the
+// code the test suite and the bench harness use. Each runs in-process on
+// the worker pool, as a scenario grid or a work pipeline; tables are
+// byte-identical for any -workers value.
 package main
 
 import (
@@ -35,40 +36,19 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	experiments.SetWorkers(*workers)
-
-	type experiment struct {
-		id string
-		fn func() (*experiments.Table, error)
-	}
-	all := []experiment{
-		{"T1", experiments.T1ClassMatrix},
-		{"T2", experiments.T2Alg1Termination},
-		{"T3", experiments.T3Alg2ValueSweep},
-		{"T4", experiments.T4Alg3NoCF},
-		{"T5", experiments.T5Crossover},
-		{"T6", experiments.T6HalfACLowerBound},
-		{"T7", experiments.T7NonAnonLowerBound},
-		{"T8", experiments.T8MajHalfGap},
-		{"T9", experiments.T9Impossibility},
-		{"A1", experiments.A1NoVetoAblation},
-		{"A2", experiments.A2LossRateSweep},
-		{"A3", experiments.A3Substrates},
-		{"M1", experiments.M1MultihopFlood},
-	}
 	want := make(map[string]bool, fs.NArg())
 	for _, a := range fs.Args() {
 		want[strings.ToUpper(a)] = true
 	}
 	ran := 0
 	failed := 0
-	for _, e := range all {
-		if len(want) > 0 && !want[e.id] {
+	for _, e := range experiments.List() {
+		if len(want) > 0 && !want[e.Name] {
 			continue
 		}
-		table, err := e.fn()
+		table, err := e.Run(*workers)
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.id, err)
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
 		fmt.Println(table)
 		ran++
@@ -77,7 +57,7 @@ func run(args []string) error {
 		}
 	}
 	if ran == 0 {
-		return fmt.Errorf("no experiment matches %v (valid: T1..T9, A1..A3, M1)", fs.Args())
+		return fmt.Errorf("no experiment matches %v (valid: %s)", fs.Args(), experiments.Names())
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d experiment(s) failed their internal checks", failed)

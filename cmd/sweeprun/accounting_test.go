@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"adhocconsensus/internal/cli"
 	"adhocconsensus/internal/events"
 	"adhocconsensus/internal/sink"
 	"adhocconsensus/internal/telemetry"
@@ -44,8 +45,8 @@ func TestSegmentEndCountsWithoutTelemetry(t *testing.T) {
 func TestWorkItemDeadlinesReportedByCause(t *testing.T) {
 	shard := filepath.Join(t.TempDir(), "t9.jsonl")
 	err := runCLI([]string{"run", "-exp", "T9", "-trialtimeout", "1ns", "-events", "-quiet", "-o", shard}, io.Discard)
-	if err != nil && exitCodeOf(err) != exitTrial {
-		t.Fatalf("run: %v (code %d)", err, exitCodeOf(err))
+	if err != nil && cli.ExitCodeOf(err) != cli.ExitTrial {
+		t.Fatalf("run: %v (code %d)", err, cli.ExitCodeOf(err))
 	}
 	data, err := os.ReadFile(shard + ".report.json")
 	if err != nil {

@@ -46,6 +46,20 @@ func runShards(t *testing.T, exp string, k, workers int) string {
 	return out.String()
 }
 
+// inProcess runs one experiment in-process, as benchtab does.
+func inProcess(t *testing.T, name string) *experiments.Table {
+	t.Helper()
+	e, err := experiments.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := e.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return table
+}
+
 // TestMergeByteIdenticalAcrossShardCounts is the subsystem's acceptance
 // test: for k in {1, 2, 4, 7}, merging the k shard files reproduces the
 // in-process single-machine table byte for byte. T4 exercises crash
@@ -54,10 +68,9 @@ func runShards(t *testing.T, exp string, k, workers int) string {
 func TestMergeByteIdenticalAcrossShardCounts(t *testing.T) {
 	for _, tc := range []struct {
 		exp string
-		fn  func() (*experiments.Table, error)
 	}{
-		{"T3", experiments.T3Alg2ValueSweep},
-		{"T4", experiments.T4Alg3NoCF}, // crash schedules
+		{"T3"},
+		{"T4"}, // crash schedules
 	} {
 		for _, mode := range []struct {
 			name  string
@@ -69,10 +82,7 @@ func TestMergeByteIdenticalAcrossShardCounts(t *testing.T) {
 			t.Run(tc.exp+"/"+mode.name, func(t *testing.T) {
 				restore := experiments.ForceTraceMode(mode.trace)
 				defer restore()
-				table, err := tc.fn()
-				if err != nil {
-					t.Fatal(err)
-				}
+				table := inProcess(t, tc.exp)
 				if !table.Pass {
 					t.Fatalf("in-process %s failed:\n%s", tc.exp, table)
 				}
@@ -159,16 +169,12 @@ func (c trialCollector) Consume(r adhocconsensus.TrialResult) error {
 func TestWorkItemShardsByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		exp string
-		fn  func() (*experiments.Table, error)
 	}{
-		{"M1", experiments.M1MultihopFlood},
-		{"T9", experiments.T9Impossibility},
+		{"M1"},
+		{"T9"},
 	} {
 		t.Run(tc.exp, func(t *testing.T) {
-			table, err := tc.fn()
-			if err != nil {
-				t.Fatal(err)
-			}
+			table := inProcess(t, tc.exp)
 			if !table.Pass {
 				t.Fatalf("in-process %s failed:\n%s", tc.exp, table)
 			}
@@ -198,15 +204,7 @@ func TestReplayRendersWithoutRerun(t *testing.T) {
 		}
 		files = append(files, path)
 	}
-	t8, err := experiments.T8MajHalfGap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t9, err := experiments.T9Impossibility()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintln(t8) + fmt.Sprintln(t9)
+	want := fmt.Sprintln(inProcess(t, "T8")) + fmt.Sprintln(inProcess(t, "T9"))
 	var replayed strings.Builder
 	if err := runCLI(append([]string{"replay"}, files...), &replayed); err != nil {
 		t.Fatal(err)
@@ -435,8 +433,8 @@ func TestMergeVerdictsRunMergesChecks(t *testing.T) {
 			paths[tc.bad] = bad
 			var out strings.Builder
 			err := runCLI(append([]string{"merge"}, paths...), &out)
-			if code := exitCodeOf(err); err == nil || code != exitReject {
-				t.Fatalf("merge = %v (exit %d), want a rejection (exit %d):\n%s", err, code, exitReject, out.String())
+			if code := cli.ExitCodeOf(err); err == nil || code != cli.ExitReject {
+				t.Fatalf("merge = %v (exit %d), want a rejection (exit %d):\n%s", err, code, cli.ExitReject, out.String())
 			}
 			for i, path := range paths {
 				want := "shard " + path + ": ok"
@@ -515,8 +513,8 @@ func TestMergeRejectsMixedSchedules(t *testing.T) {
 	if err == nil {
 		t.Fatal("merge accepted shards recorded under different seed schedules")
 	}
-	if code := exitCodeOf(err); code != exitReject {
-		t.Fatalf("exit code %d, want %d (reject): %v", code, exitReject, err)
+	if code := cli.ExitCodeOf(err); code != cli.ExitReject {
+		t.Fatalf("exit code %d, want %d (reject): %v", code, cli.ExitReject, err)
 	}
 	var mismatch *sink.ScheduleMismatchError
 	if !errors.As(err, &mismatch) {

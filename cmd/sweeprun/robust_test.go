@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"adhocconsensus/internal/cli"
 	"adhocconsensus/internal/sink"
 )
 
@@ -186,8 +187,8 @@ func TestResumeRejectsMismatches(t *testing.T) {
 			if err == nil {
 				t.Fatal("mismatched resume accepted")
 			}
-			if code := exitCodeOf(err); code != exitReject {
-				t.Fatalf("exit code %d, want %d (reject): %v", code, exitReject, err)
+			if code := cli.ExitCodeOf(err); code != cli.ExitReject {
+				t.Fatalf("exit code %d, want %d (reject): %v", code, cli.ExitReject, err)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("rejection %v does not name the mismatch (%q)", err, tc.want)
@@ -224,8 +225,8 @@ func TestTrialTimeoutQuarantineCLI(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("err %v, want a deadline trial error", err)
 	}
-	if code := exitCodeOf(err); code != exitTrial {
-		t.Fatalf("exit code %d, want %d (per-trial errors)", code, exitTrial)
+	if code := cli.ExitCodeOf(err); code != cli.ExitTrial {
+		t.Fatalf("exit code %d, want %d (per-trial errors)", code, cli.ExitTrial)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -275,8 +276,8 @@ func TestInterruptThenResumeByteIdentical(t *testing.T) {
 	if err == nil {
 		t.Fatal("sweep outran the interrupt; raise -trials")
 	}
-	if code := exitCodeOf(err); code != exitInterrupt {
-		t.Fatalf("exit code %d, want %d (clean interrupt): %v", code, exitInterrupt, err)
+	if code := cli.ExitCodeOf(err); code != cli.ExitInterrupt {
+		t.Fatalf("exit code %d, want %d (clean interrupt): %v", code, cli.ExitInterrupt, err)
 	}
 	if !strings.Contains(out.String(), "resume with: sweeprun run -resume") {
 		t.Fatalf("interrupt did not print the resume command:\n%s", out.String())
@@ -327,12 +328,12 @@ func TestExitCodeClassification(t *testing.T) {
 		args []string
 		want int
 	}{
-		{"usage: no mode", []string{"run"}, exitUsage},
-		{"usage: unknown subcommand", []string{"bogus"}, exitUsage},
-		{"usage: resume without -o", []string{"run", "-resume", "-exp", "T8"}, exitUsage},
-		{"sink: unreadable merge input", []string{"merge", filepath.Join(dir, "missing.jsonl")}, exitSink},
-		{"reject: corrupted merge input", []string{"merge", corrupted}, exitReject},
-		{"reject: empty verify set", []string{"verify", good, good}, exitReject},
+		{"usage: no mode", []string{"run"}, cli.ExitUsage},
+		{"usage: unknown subcommand", []string{"bogus"}, cli.ExitUsage},
+		{"usage: resume without -o", []string{"run", "-resume", "-exp", "T8"}, cli.ExitUsage},
+		{"sink: unreadable merge input", []string{"merge", filepath.Join(dir, "missing.jsonl")}, cli.ExitSink},
+		{"reject: corrupted merge input", []string{"merge", corrupted}, cli.ExitReject},
+		{"reject: empty verify set", []string{"verify", good, good}, cli.ExitReject},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -341,12 +342,12 @@ func TestExitCodeClassification(t *testing.T) {
 			if err == nil {
 				t.Fatal("expected an error")
 			}
-			if code := exitCodeOf(err); code != tc.want {
+			if code := cli.ExitCodeOf(err); code != tc.want {
 				t.Fatalf("exit code %d, want %d: %v", code, tc.want, err)
 			}
 		})
 	}
-	if code := exitCodeOf(nil); code != exitOK {
+	if code := cli.ExitCodeOf(nil); code != cli.ExitOK {
 		t.Fatalf("nil error classified %d, want 0", code)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"adhocconsensus/internal/cli"
 	"adhocconsensus/internal/events"
 	"adhocconsensus/internal/sink"
 )
@@ -45,12 +46,12 @@ func tailCmd(ctx context.Context, args []string, out io.Writer) error {
 		if ctx.Err() != nil {
 			return nil
 		}
-		return withExit(exitSink, err)
+		return cli.WithExit(cli.ExitSink, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return withExit(exitReject, fmt.Errorf("%s: %s: %s", url, resp.Status, strings.TrimSpace(string(body))))
+		return cli.WithExit(cli.ExitReject, fmt.Errorf("%s: %s: %s", url, resp.Status, strings.TrimSpace(string(body))))
 	}
 	err = tailStream(resp.Body, out, *raw)
 	if ctx.Err() != nil {
@@ -97,9 +98,9 @@ func tailStream(r io.Reader, out io.Writer, raw bool) error {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return withExit(exitSink, err)
+		return cli.WithExit(cli.ExitSink, err)
 	}
-	return withExit(exitSink, fmt.Errorf("event stream ended without eof — daemon gone?"))
+	return cli.WithExit(cli.ExitSink, fmt.Errorf("event stream ended without eof — daemon gone?"))
 }
 
 // renderFrame prints one SSE frame and reports whether it closed the

@@ -76,7 +76,7 @@ func TestTailStreamRawMode(t *testing.T) {
 func TestTailStreamWithoutEOFIsAnError(t *testing.T) {
 	var out bytes.Buffer
 	err := tailStream(strings.NewReader("event: journal\ndata: {\"seq\":1,\"ev\":\"x\"}\n\n"), &out, false)
-	if err == nil || cli.ExitCodeOf(err) != exitSink {
+	if err == nil || cli.ExitCodeOf(err) != cli.ExitSink {
 		t.Fatalf("truncated stream: err %v (exit %d), want sink-class failure", err, cli.ExitCodeOf(err))
 	}
 }
@@ -103,7 +103,7 @@ func TestTailCmdAgainstServer(t *testing.T) {
 
 	// A missing job surfaces the daemon's status as a rejection.
 	err := tailCmd(context.Background(), []string{addr, "999"}, &out)
-	if err == nil || cli.ExitCodeOf(err) != exitReject {
+	if err == nil || cli.ExitCodeOf(err) != cli.ExitReject {
 		t.Fatalf("missing job: err %v, want reject-class failure", err)
 	}
 	if err := tailCmd(context.Background(), []string{addr, "not-a-number"}, &out); err == nil {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"adhocconsensus/internal/cli"
 	"adhocconsensus/internal/telemetry"
 )
 
@@ -72,8 +73,8 @@ func TestRunReportQuarantineByCause(t *testing.T) {
 		"-alg", "bitbybit", "-loss", "drop", "-cst", "0",
 		"-rounds", fmt.Sprint(1 << 30), "-trialtimeout", "25ms",
 		"-seed", "3", "-o", shard}, os.Stdout)
-	if err == nil || exitCodeOf(err) != exitTrial {
-		t.Fatalf("err %v (code %d), want per-trial errors", err, exitCodeOf(err))
+	if err == nil || cli.ExitCodeOf(err) != cli.ExitTrial {
+		t.Fatalf("err %v (code %d), want per-trial errors", err, cli.ExitCodeOf(err))
 	}
 	data, err := os.ReadFile(shard + ".report.json")
 	if err != nil {
@@ -161,12 +162,12 @@ func TestReportCmdRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := runCLI([]string{"report", bad}, io.Discard)
-	if err == nil || exitCodeOf(err) != exitReject {
-		t.Fatalf("garbage report: err %v (code %d), want %d", err, exitCodeOf(err), exitReject)
+	if err == nil || cli.ExitCodeOf(err) != cli.ExitReject {
+		t.Fatalf("garbage report: err %v (code %d), want %d", err, cli.ExitCodeOf(err), cli.ExitReject)
 	}
 	err = runCLI([]string{"report", filepath.Join(t.TempDir(), "missing.json")}, io.Discard)
-	if err == nil || exitCodeOf(err) != exitSink {
-		t.Fatalf("missing report: err %v (code %d), want %d", err, exitCodeOf(err), exitSink)
+	if err == nil || cli.ExitCodeOf(err) != cli.ExitSink {
+		t.Fatalf("missing report: err %v (code %d), want %d", err, cli.ExitCodeOf(err), cli.ExitSink)
 	}
 	if err := runCLI([]string{"report"}, io.Discard); err == nil {
 		t.Fatal("report with no files must be a usage error")

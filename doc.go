@@ -120,8 +120,10 @@
 // (sweep seed, scenario index, trial index), so results are byte-identical
 // at any worker count. Config.Run translates to a Scenario internally;
 // Config.RunTrials exposes the parallel path publicly (cmd/consensus-sim
-// -trials/-parallel); every experiment table in internal/experiments is a
-// scenario grid on the same runner (cmd/benchtab -workers).
+// -trials/-parallel). The experiment tables are declared once, in
+// internal/experiments' registry, each as a scenario grid or as a work
+// pipeline of serializable items, and run on the same runner
+// (cmd/benchtab -workers).
 //
 // # Seed schedules
 //
@@ -158,21 +160,22 @@
 //
 // Sweeps stream instead of accumulating: the runner delivers each trial's
 // digested result, in trial order, into a result sink (internal/sink) —
-// in-memory collection, buffered JSONL with a stable versioned schema
-// (scenario fingerprint, trial seed, rounds, decision digest,
-// detector/CM/loss params), or a fan-out to several sinks. Publicly,
-// Config.ResultSink taps the per-trial stream of RunTrials, and
-// Config.StreamTrials executes one shard of a larger run: trial seeds
-// depend only on Config.Seed and the global trial index, so k machines
-// each running one shard produce JSONL files whose union is byte-identical
-// to the single-machine sweep. cmd/sweeprun drives both directions — "run"
-// executes a shard of an experiment grid or configuration sweep, "merge"
-// folds shard files back into exactly the tables cmd/benchtab prints and
-// the statistics consensus-sim -trials prints (golden-tested, with the
-// records' plan rejecting shards from mismatched grids, configurations or
-// versions). consensus-sim -trials additionally reports per-trial seed
-// provenance, so one anomalous trial out of a million can be re-run
-// standalone by passing its derived seed to a single Run.
+// in-memory collection or buffered JSONL with a stable versioned schema
+// (scenario fingerprint, trial seed, rounds, decision digest, and the
+// detector/CM/loss params under the names internal/sim's name tables give
+// them). Publicly, Config.ResultSink taps the per-trial stream of
+// RunTrials, and Config.StreamTrials executes one shard of a larger run:
+// trial seeds depend only on Config.Seed and the global trial index, so k
+// machines each running one shard produce JSONL files whose union is
+// byte-identical to the single-machine sweep. cmd/sweeprun drives both
+// directions — "run" executes a shard of an experiment grid or
+// configuration sweep, "merge" folds shard files back into exactly the
+// tables cmd/benchtab prints and the statistics consensus-sim -trials
+// prints (golden-tested, with the records' plan rejecting shards from
+// mismatched grids, configurations or versions). consensus-sim -trials
+// additionally reports per-trial seed provenance, so one anomalous trial
+// out of a million can be re-run standalone by passing its derived seed to
+// a single Run.
 //
 // # Replay and forensics
 //

@@ -6,19 +6,21 @@ import (
 
 	"adhocconsensus"
 	"adhocconsensus/internal/replay"
+	"adhocconsensus/internal/sim"
 	"adhocconsensus/internal/sink"
 )
 
 // RenderGroup renders one group of recorded results — the records of one
-// experiment, or "trials" for a configuration sweep — without re-running
-// anything: an experiment table through replay.RenderExperiment, or the
-// trial statistics and seed-provenance report consensus-sim -trials prints.
-// With quiet, an experiment collapses to its PASS/FAIL line and a sweep to
-// one summary line. pass reports the experiment's internal checks (a sweep
-// has none and always passes). A non-nil error means the records do not
-// form a renderable set, and nothing was written.
+// experiment, or a configuration sweep's (replay.SweepExp) — without
+// re-running anything: an experiment table through
+// replay.RenderExperiment, or the trial statistics and seed-provenance
+// report consensus-sim -trials prints. With quiet, an experiment collapses
+// to its PASS/FAIL line and a sweep to one summary line. pass reports the
+// experiment's internal checks (a sweep has none and always passes). A
+// non-nil error means the records do not form a renderable set, and
+// nothing was written.
 func RenderGroup(out io.Writer, name string, recs []sink.Record, quiet bool) (pass bool, err error) {
-	if name != "trials" {
+	if name != replay.SweepExp {
 		table, err := replay.RenderExperiment(name, recs)
 		if err != nil {
 			return false, err
@@ -43,7 +45,7 @@ func RenderGroup(out io.Writer, name string, recs []sink.Record, quiet bool) (pa
 			st.Trials, st.Decided, st.AgreementViolations)
 		return true, nil
 	}
-	alg, err := ParseAlgorithm(recs[0].Params.Algorithm)
+	alg, err := sim.ParseAlgorithm(recs[0].Params.Algorithm)
 	if err != nil {
 		return false, fmt.Errorf("records carry no usable algorithm param: %w", err)
 	}
@@ -57,7 +59,7 @@ func RenderGroup(out io.Writer, name string, recs []sink.Record, quiet bool) (pa
 // (replay.PlanOf) and the records cover trials 0..n-1. A quarantined trial
 // keeps its error, with a zero digest, as the live stream delivers it.
 func TrialResultsOf(recs []sink.Record) ([]adhocconsensus.TrialResult, error) {
-	plan, err := replay.PlanOf("trials", recs)
+	plan, err := replay.PlanOf(replay.SweepExp, recs)
 	if err != nil {
 		return nil, err
 	}

@@ -99,11 +99,12 @@ func TestRenderGroupTrials(t *testing.T) {
 // — its full table says PASS=false, its quiet line says FAIL — and reports
 // not-passed, which is what makes "sweeprun merge" exit non-zero.
 func TestRenderGroupFailingTable(t *testing.T) {
-	e, ok := experiments.GridExperimentByName("T8")
-	if !ok {
-		t.Fatal("no grid experiment T8")
+	e, err := experiments.ByName("T8")
+	if err != nil {
+		t.Fatal(err)
 	}
-	scenarios, _, err := e.Build()
+	g, _ := e.Grid()
+	scenarios, _, err := g.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,13 +16,9 @@ import (
 	"adhocconsensus/internal/valueset"
 )
 
-// A1NoVetoAblation removes Algorithm 1's veto phase and counts agreement
-// violations across partition adversaries and seeds: the negative-
-// acknowledgment round is load-bearing.
-func A1NoVetoAblation() (*Table, error) {
-	return GridExperiment{Name: "A1", build: a1Build}.Run()
-}
-
+// a1Build declares A1, which removes Algorithm 1's veto phase and counts
+// agreement violations across partition adversaries and seeds: the
+// negative-acknowledgment round is load-bearing.
 func a1Build() ([]sim.Scenario, RenderFunc, error) {
 	const runs = 20
 	values := []model.Value{1, 1, 2, 2}
@@ -109,13 +105,9 @@ func a1Build() ([]sim.Scenario, RenderFunc, error) {
 	return scenarios, render, nil
 }
 
-// A2LossRateSweep measures time-to-decide for Algorithms 1 and 2 across the
-// empirical 20–50% loss regimes of §1.1, with the channel stabilizing at
-// round 20.
-func A2LossRateSweep() (*Table, error) {
-	return GridExperiment{Name: "A2", build: a2Build}.Run()
-}
-
+// a2Build declares A2, which measures time-to-decide for Algorithms 1 and 2
+// across the empirical 20–50% loss regimes of §1.1, with the channel
+// stabilizing at round 20.
 func a2Build() ([]sim.Scenario, RenderFunc, error) {
 	domain := valueset.MustDomain(256)
 	const cst = 20
@@ -181,12 +173,6 @@ func a2Build() ([]sim.Scenario, RenderFunc, error) {
 	return scenarios, render, nil
 }
 
-// A3Substrates measures the assumed services: backoff stabilization time by
-// network size, and round-synchronization skew by clock drift.
-func A3Substrates() (*Table, error) {
-	return WorkExperiment{Name: "A3", build: a3WorkBuild}.Run()
-}
-
 // a3Sizes and a3Drifts are the substrate grid axes: backoff stabilization
 // across network sizes × seeds, and one round-sync simulation per drift.
 var (
@@ -196,6 +182,9 @@ var (
 
 const a3Seeds = 20
 
+// a3WorkBuild declares A3, which measures the assumed services: backoff
+// stabilization time by network size, and round-synchronization skew by
+// clock drift.
 func a3WorkBuild() ([]sink.WorkItem, WorkRunFunc, WorkRenderFunc, error) {
 	// Every (n, seed) backoff pair is one independent work item, followed by
 	// one deterministic round-sync item per drift.
@@ -324,22 +313,4 @@ func a3WorkBuild() ([]sink.WorkItem, WorkRunFunc, WorkRenderFunc, error) {
 		return t, nil
 	}
 	return items, run, render, nil
-}
-
-// All runs every experiment in order.
-func All() ([]*Table, error) {
-	type exp func() (*Table, error)
-	var tables []*Table
-	for _, e := range []exp{
-		T1ClassMatrix, T2Alg1Termination, T3Alg2ValueSweep, T4Alg3NoCF, T5Crossover,
-		T6HalfACLowerBound, T7NonAnonLowerBound, T8MajHalfGap, T9Impossibility,
-		A1NoVetoAblation, A2LossRateSweep, A3Substrates, M1MultihopFlood,
-	} {
-		table, err := e()
-		if err != nil {
-			return tables, err
-		}
-		tables = append(tables, table)
-	}
-	return tables, nil
 }

@@ -8,6 +8,20 @@ import (
 	"adhocconsensus/internal/valueset"
 )
 
+// runTable runs one experiment in-process on a pool of workers.
+func runTable(t *testing.T, name string, workers int) *Table {
+	t.Helper()
+	e, err := ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := e.Run(workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return table
+}
+
 func mustDomain(t *testing.T, size uint64) valueset.Domain {
 	t.Helper()
 	d, err := valueset.NewDomain(size)
@@ -24,14 +38,12 @@ func TestAllExperimentsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness is slow; skipped with -short")
 	}
-	tables, err := All()
-	if err != nil {
-		t.Fatal(err)
+	exps := List()
+	if len(exps) != 13 {
+		t.Fatalf("got %d experiments, want 13", len(exps))
 	}
-	if len(tables) != 13 {
-		t.Fatalf("got %d tables, want 13", len(tables))
-	}
-	for _, table := range tables {
+	for _, e := range exps {
+		table := runTable(t, e.Name, 0)
 		if !table.Pass {
 			t.Errorf("experiment failed:\n%s", table)
 		}
@@ -47,17 +59,11 @@ func TestAllExperimentsPass(t *testing.T) {
 // number.
 func TestT2TraceModeInvariant(t *testing.T) {
 	restore := ForceTraceMode(engine.TraceFull)
-	full, err := T2Alg1Termination()
+	full := runTable(t, "T2", 0)
 	restore()
-	if err != nil {
-		t.Fatal(err)
-	}
 	restore = ForceTraceMode(engine.TraceDecisionsOnly)
-	dec, err := T2Alg1Termination()
+	dec := runTable(t, "T2", 0)
 	restore()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !full.Pass || !dec.Pass {
 		t.Fatalf("T2 failed: full=%v decisions-only=%v", full.Pass, dec.Pass)
 	}
@@ -101,11 +107,7 @@ func TestSpreadValuesWithinDomain(t *testing.T) {
 }
 
 func TestT8GapQuick(t *testing.T) {
-	table, err := T8MajHalfGap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !table.Pass {
+	if table := runTable(t, "T8", 0); !table.Pass {
 		t.Fatalf("T8 failed:\n%s", table)
 	}
 }
@@ -116,27 +118,10 @@ func TestT8GapQuick(t *testing.T) {
 // exercises seeded loss/noise; T4 crash schedules; T8 the partition
 // adversary.
 func TestTablesWorkerCountInvariant(t *testing.T) {
-	defer SetWorkers(0)
-	for _, exp := range []struct {
-		name string
-		fn   func() (*Table, error)
-	}{
-		{"T3", T3Alg2ValueSweep},
-		{"T4", T4Alg3NoCF},
-		{"T8", T8MajHalfGap},
-	} {
-		SetWorkers(1)
-		one, err := exp.fn()
-		if err != nil {
-			t.Fatal(err)
-		}
-		SetWorkers(4)
-		four, err := exp.fn()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, name := range []string{"T3", "T4", "T8"} {
+		one, four := runTable(t, name, 1), runTable(t, name, 4)
 		if os, fs := one.String(), four.String(); os != fs {
-			t.Fatalf("%s differs across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", exp.name, os, fs)
+			t.Fatalf("%s differs across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", name, os, fs)
 		}
 	}
 }
@@ -153,12 +138,8 @@ func TestForceTraceModeRaceSafety(t *testing.T) {
 			restore()
 		}
 	}()
-	SetWorkers(4)
-	defer SetWorkers(0)
 	for i := 0; i < 5; i++ {
-		if _, err := T8MajHalfGap(); err != nil {
-			t.Fatal(err)
-		}
+		runTable(t, "T8", 4)
 	}
 	<-done
 }

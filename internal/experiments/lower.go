@@ -14,18 +14,14 @@ import (
 	"adhocconsensus/internal/valueset"
 )
 
-// T6HalfACLowerBound runs the Theorem 6 pipeline: for Algorithm 2 (the
-// matching upper bound) the colliding alpha executions must still be
-// undecided at K = ⌊lg|V|/2⌋−1; for Algorithm 1 (constant-round, too fast
-// for half-AC) the Lemma 23 composition must exhibit an agreement
-// violation with machine-checked indistinguishability.
-func T6HalfACLowerBound() (*Table, error) {
-	return WorkExperiment{Name: "T6", build: t6WorkBuild}.Run()
-}
-
 // t6Sizes are the enumerated value-domain sizes of the Algorithm 2 rows.
 var t6Sizes = []uint64{64, 256, 4096}
 
+// t6WorkBuild declares T6, which runs the Theorem 6 pipeline: for Algorithm
+// 2 (the matching upper bound) the colliding alpha executions must still be
+// undecided at K = ⌊lg|V|/2⌋−1; for Algorithm 1 (constant-round, too fast
+// for half-AC) the Lemma 23 composition must exhibit an agreement violation
+// with machine-checked indistinguishability.
 func t6WorkBuild() ([]sink.WorkItem, WorkRunFunc, WorkRenderFunc, error) {
 	procs := []model.ProcessID{1, 2, 3}
 	alt := []model.ProcessID{101, 102, 103}
@@ -133,15 +129,11 @@ func t6WorkBuild() ([]sink.WorkItem, WorkRunFunc, WorkRenderFunc, error) {
 	return items, run, render, nil
 }
 
-// T7NonAnonLowerBound runs the Theorem 7 (Lemma 22) search for the §7.3
-// non-anonymous algorithm over disjoint index subsets.
-func T7NonAnonLowerBound() (*Table, error) {
-	return WorkExperiment{Name: "T7", build: t7WorkBuild}.Run()
-}
-
 // t7Sizes are the enumerated value-domain sizes of the Theorem 7 searches.
 var t7Sizes = []uint64{16, 64}
 
+// t7WorkBuild declares T7, which runs the Theorem 7 (Lemma 22) search for
+// the §7.3 non-anonymous algorithm over disjoint index subsets.
 func t7WorkBuild() ([]sink.WorkItem, WorkRunFunc, WorkRenderFunc, error) {
 	items := make([]sink.WorkItem, 0, len(t7Sizes))
 	for i, size := range t7Sizes {
@@ -213,13 +205,10 @@ func t7WorkBuild() ([]sink.WorkItem, WorkRunFunc, WorkRenderFunc, error) {
 	return items, run, render, nil
 }
 
-// T8MajHalfGap is the single-message separation: the exact-half partition
-// adversary breaks Algorithm 1 under half-AC (agreement violation) but is
-// harmless under maj-AC (forced notifications make everyone veto forever).
-func T8MajHalfGap() (*Table, error) {
-	return GridExperiment{Name: "T8", build: t8Build}.Run()
-}
-
+// t8Build declares T8, the single-message separation: the exact-half
+// partition adversary breaks Algorithm 1 under half-AC (agreement
+// violation) but is harmless under maj-AC (forced notifications make
+// everyone veto forever).
 func t8Build() ([]sim.Scenario, RenderFunc, error) {
 	const n = 4
 	cases := []struct {
@@ -273,15 +262,11 @@ func t8Build() ([]sim.Scenario, RenderFunc, error) {
 	return scenarios, render, nil
 }
 
-// T9Impossibility runs the Theorem 4, 8, and 9 constructions, exercising
-// both branches of each dichotomy.
-func T9Impossibility() (*Table, error) {
-	return WorkExperiment{Name: "T9", build: t9WorkBuild}.Run()
-}
-
 // t9CaseNames orders the five T9 constructions; each is one work item.
 var t9CaseNames = []string{"t4-honest", "t4-strawman", "t8-constant", "t9-alg3", "t9-strawman"}
 
+// t9WorkBuild declares T9, which runs the Theorem 4, 8, and 9
+// constructions, exercising both branches of each dichotomy.
 func t9WorkBuild() ([]sink.WorkItem, WorkRunFunc, WorkRenderFunc, error) {
 	items := make([]sink.WorkItem, 0, len(t9CaseNames))
 	for i, name := range t9CaseNames {

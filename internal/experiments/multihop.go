@@ -11,14 +11,6 @@ import (
 	"adhocconsensus/internal/stats"
 )
 
-// M1MultihopFlood measures the multihop extension (the paper's stated
-// future work, §9): reliable broadcast by CD-assisted slotted flooding over
-// line and grid topologies, with per-link loss. Coverage time must respect
-// the Ω(D) distance bound and grow linearly with the diameter.
-func M1MultihopFlood() (*Table, error) {
-	return WorkExperiment{Name: "M1", build: m1WorkBuild}.Run()
-}
-
 // m1Case is one flooding topology of the M1 grid.
 type m1Case struct {
 	name   string
@@ -43,6 +35,11 @@ func m1Cases() []m1Case {
 // m1Seeds is how many independently seeded floods each topology runs.
 const m1Seeds = 10
 
+// m1WorkBuild declares M1, which measures the multihop extension (the
+// paper's stated future work, §9): reliable broadcast by CD-assisted
+// slotted flooding over line and grid topologies, with per-link loss.
+// Coverage time must respect the Ω(D) distance bound and grow linearly with
+// the diameter.
 func m1WorkBuild() ([]sink.WorkItem, WorkRunFunc, WorkRenderFunc, error) {
 	cases := m1Cases()
 	// Every (case, seed) pair is one independent flood trial; each trial

@@ -12,7 +12,7 @@ import (
 // sim.Runner gives scenario trials: a panic inside the executor is
 // recovered into an *engine.PanicError (stack on the struct, deterministic
 // message) instead of killing the worker pool. Every path that executes
-// registered executors — WorkExperiment.Run and sweeprun's work-shard
+// registered executors — Experiment.Run and sweeprun's work-shard
 // streaming — runs items through this guard.
 func GuardRun(run WorkRunFunc) WorkRunFunc {
 	return func(item sink.WorkItem) (out string, err error) {

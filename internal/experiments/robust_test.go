@@ -71,9 +71,9 @@ func TestRunWithDeadline(t *testing.T) {
 // TestWorkExperimentRunGuards: a registered pipeline with a panicking
 // executor fails with a contained error instead of crashing the pool.
 func TestWorkExperimentRunGuards(t *testing.T) {
-	e := WorkExperiment{
+	e := Experiment{
 		Name: "X",
-		build: func() ([]sink.WorkItem, WorkRunFunc, WorkRenderFunc, error) {
+		work: func() ([]sink.WorkItem, WorkRunFunc, WorkRenderFunc, error) {
 			items := []sink.WorkItem{{Kind: "x", Index: 0}, {Kind: "x", Index: 1}}
 			run := func(item sink.WorkItem) (string, error) {
 				if item.Index == 1 {
@@ -85,7 +85,7 @@ func TestWorkExperimentRunGuards(t *testing.T) {
 			return items, run, render, nil
 		},
 	}
-	_, err := e.Run()
+	_, err := e.Run(0)
 	var pe *engine.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("pipeline panic escaped Run's guard: %v", err)

@@ -10,14 +10,11 @@ import (
 	"adhocconsensus/internal/valueset"
 )
 
-// T1ClassMatrix regenerates Figure 1 plus the §1.5 solvability/complexity
-// summary: for every detector class, whether consensus is solvable under
-// ECF (with a wake-up service) and under NOCF (no delivery guarantee), the
-// algorithm that solves it, and the measured termination round (CST = 1).
-func T1ClassMatrix() (*Table, error) {
-	return GridExperiment{Name: "T1", build: t1Build}.Run()
-}
-
+// t1Build declares T1, which regenerates Figure 1 plus the §1.5
+// solvability/complexity summary: for every detector class, whether
+// consensus is solvable under ECF (with a wake-up service) and under NOCF
+// (no delivery guarantee), the algorithm that solves it, and the measured
+// termination round (CST = 1).
 func t1Build() ([]sim.Scenario, RenderFunc, error) {
 	domain := valueset.MustDomain(256)
 	values := spreadValues(4, domain)
@@ -111,13 +108,9 @@ func t1Build() ([]sim.Scenario, RenderFunc, error) {
 	return scenarios, render, nil
 }
 
-// T2Alg1Termination measures Theorem 1's CST+2 bound across network sizes
-// and stabilization times, with pre-CST noise (false positives, contention,
-// probabilistic loss).
-func T2Alg1Termination() (*Table, error) {
-	return GridExperiment{Name: "T2", build: t2Build}.Run()
-}
-
+// t2Build declares T2, which measures Theorem 1's CST+2 bound across
+// network sizes and stabilization times, with pre-CST noise (false
+// positives, contention, probabilistic loss).
 func t2Build() ([]sim.Scenario, RenderFunc, error) {
 	domain := valueset.MustDomain(1 << 16)
 	type point struct{ n, cst int }
@@ -172,12 +165,8 @@ func t2Build() ([]sim.Scenario, RenderFunc, error) {
 	return scenarios, render, nil
 }
 
-// T3Alg2ValueSweep measures Theorem 2's CST + 2(⌈lg|V|⌉+1) bound across
-// value-domain sizes: the logarithmic shape.
-func T3Alg2ValueSweep() (*Table, error) {
-	return GridExperiment{Name: "T3", build: t3Build}.Run()
-}
-
+// t3Build declares T3, which measures Theorem 2's CST + 2(⌈lg|V|⌉+1) bound
+// across value-domain sizes: the logarithmic shape.
 func t3Build() ([]sim.Scenario, RenderFunc, error) {
 	type point struct {
 		size uint64
@@ -232,13 +221,9 @@ func t3Build() ([]sim.Scenario, RenderFunc, error) {
 	return scenarios, render, nil
 }
 
-// T4Alg3NoCF measures Theorem 3's 8·lg|V| bound for Algorithm 3 under
-// total message loss, including the §7.4 deep-left-crash scenario that
-// costs an extra climb.
-func T4Alg3NoCF() (*Table, error) {
-	return GridExperiment{Name: "T4", build: t4Build}.Run()
-}
-
+// t4Build declares T4, which measures Theorem 3's 8·lg|V| bound for
+// Algorithm 3 under total message loss, including the §7.4 deep-left-crash
+// scenario that costs an extra climb.
 func t4Build() ([]sim.Scenario, RenderFunc, error) {
 	type point struct {
 		size            uint64
@@ -302,12 +287,9 @@ func t4Build() ([]sim.Scenario, RenderFunc, error) {
 	return scenarios, render, nil
 }
 
-// T5Crossover measures the §7.3 result: the non-anonymous algorithm's
-// rounds track min{lg|V|, lg|I|}, with the crossover at |I| = |V|.
-func T5Crossover() (*Table, error) {
-	return GridExperiment{Name: "T5", build: t5Build}.Run()
-}
-
+// t5Build declares T5, which measures the §7.3 result: the non-anonymous
+// algorithm's rounds track min{lg|V|, lg|I|}, with the crossover at
+// |I| = |V|.
 func t5Build() ([]sim.Scenario, RenderFunc, error) {
 	type point struct {
 		vSize, iSize uint64

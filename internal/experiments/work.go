@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"adhocconsensus/internal/sim"
 	"adhocconsensus/internal/sink"
 )
 
@@ -35,7 +36,7 @@ type WorkRenderFunc func(outs []string) (*Table, error)
 // cmd/sweeprun shard the items across machines and internal/replay render
 // its table from recorded outcomes without re-running anything.
 type WorkExperiment struct {
-	// Name is the table's short ID (T6, T7, T9, A3, M1).
+	// Name is the table's short ID.
 	Name  string
 	build func() ([]sink.WorkItem, WorkRunFunc, WorkRenderFunc, error)
 }
@@ -46,11 +47,10 @@ func (e WorkExperiment) Build() ([]sink.WorkItem, WorkRunFunc, WorkRenderFunc, e
 	return e.build()
 }
 
-// Run executes every item in-process on the shared runner and renders the
-// table: the single-machine path the legacy TNXxx() functions use. Items
-// run through GuardRun, so a panicking executor surfaces as that item's
-// error rather than killing the pool.
-func (e WorkExperiment) Run() (*Table, error) {
+// run executes every item in-process on a pool of workers and renders the
+// table. Items run through GuardRun, so a panicking executor surfaces as
+// that item's error rather than killing the pool.
+func (e WorkExperiment) run(workers int) (*Table, error) {
 	items, run, render, err := e.Build()
 	if err != nil {
 		return nil, err
@@ -58,7 +58,7 @@ func (e WorkExperiment) Run() (*Table, error) {
 	run = GuardRun(run)
 	outs := make([]string, len(items))
 	errs := make([]error, len(items))
-	runner().Map(len(items), func(i int) {
+	sim.Runner{Workers: workers}.Map(len(items), func(i int) {
 		outs[i], errs[i] = run(items[i])
 	})
 	for _, err := range errs {
@@ -67,27 +67,6 @@ func (e WorkExperiment) Run() (*Table, error) {
 		}
 	}
 	return render(outs)
-}
-
-// WorkExperiments lists every work-item experiment in table order.
-func WorkExperiments() []WorkExperiment {
-	return []WorkExperiment{
-		{Name: "T6", build: t6WorkBuild},
-		{Name: "T7", build: t7WorkBuild},
-		{Name: "T9", build: t9WorkBuild},
-		{Name: "A3", build: a3WorkBuild},
-		{Name: "M1", build: m1WorkBuild},
-	}
-}
-
-// WorkExperimentByName resolves a work experiment by its (case-exact) ID.
-func WorkExperimentByName(name string) (WorkExperiment, bool) {
-	for _, e := range WorkExperiments() {
-		if e.Name == name {
-			return e, true
-		}
-	}
-	return WorkExperiment{}, false
 }
 
 // ShardItems partitions an expanded item list into its shard-of-shards
@@ -101,9 +80,9 @@ func ShardItems(items []sink.WorkItem, shard, shards int) ([]sink.WorkItem, erro
 	if shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("experiments: shard %d outside [0,%d)", shard, shards)
 	}
-	out := make([]sink.WorkItem, 0, (len(items)+shards-1)/shards)
-	for i := shard; i < len(items); i += shards {
-		out = append(out, items[i])
+	out := make([]sink.WorkItem, sim.ShardLen(len(items), shard, shards))
+	for k := range out {
+		out[k] = items[shard+k*shards]
 	}
 	return out, nil
 }

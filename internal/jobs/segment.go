@@ -25,7 +25,7 @@ import (
 // segments from a Spec, and Salvage/Stream treat them identically — which
 // is why a daemon-run job's output is byte-identical to the CLI's.
 type Segment struct {
-	// Name labels errors ("T3", "trials").
+	// Name labels errors: an experiment's ID or replay.SweepExp.
 	Name string
 	// Length is the number of records the segment contributes to this shard.
 	Length int
@@ -155,14 +155,10 @@ func TrialsSegment(cf *cli.ConfigFlags, trials, shard, shards, workers int, time
 	}
 	cfg.TrialTimeout = timeout
 	params := cli.RecordParams(cfg)
-	length := 0
-	if trials > shard {
-		length = (trials - shard + shards - 1) / shards
-	}
 	plan := replay.SweepPlan(params)
 	return Segment{
-		Name:     "trials",
-		Length:   length,
+		Name:     replay.SweepExp,
+		Length:   sim.ShardLen(trials, shard, shards),
 		Schedule: params.SeedScheduleVersion(),
 		Stream: func(ctx context.Context, skip int, j *sink.JSONL) error {
 			s := &jsonlTrials{j: j, params: params, plan: plan}

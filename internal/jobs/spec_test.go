@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"adhocconsensus/internal/experiments"
 )
 
 // TestSpecValidate pins the admission-time rejections.
@@ -75,21 +73,15 @@ func TestBuildSegmentsRejects(t *testing.T) {
 }
 
 // TestExperimentSegmentsExpandAll: "all" expands in place to every grid,
-// then every work pipeline, and names are trimmed — the one resolver behind
-// both a job spec's exps and "sweeprun run -exp".
+// then every work pipeline — the order every recorded "-exp all" file has —
+// and names are trimmed: the one resolver behind both a job spec's exps and
+// "sweeprun run -exp".
 func TestExperimentSegmentsExpandAll(t *testing.T) {
 	segs, err := ExperimentSegments([]string{"all", " T3"}, 0, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []string
-	for _, e := range experiments.GridExperiments() {
-		want = append(want, e.Name)
-	}
-	for _, e := range experiments.WorkExperiments() {
-		want = append(want, e.Name)
-	}
-	want = append(want, "T3")
+	want := []string{"T1", "T2", "T3", "T4", "T5", "T8", "A1", "A2", "T6", "T7", "T9", "A3", "M1", "T3"}
 	var got []string
 	for _, s := range segs {
 		got = append(got, s.Name)

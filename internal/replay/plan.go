@@ -9,8 +9,9 @@ import (
 	"adhocconsensus/internal/sink"
 )
 
-// sweepExp labels the records of a configuration sweep.
-const sweepExp = "trials"
+// SweepExp labels the records of a configuration sweep: their group in a
+// shard file, next to the experiments' IDs.
+const SweepExp = "trials"
 
 // Plan is the shard-record contract of one record group — one experiment's
 // records, or a configuration sweep's — and the one place that decides
@@ -58,39 +59,36 @@ func WorkPlan(name string, items []sink.WorkItem) *Plan {
 // recorded, so any non-negative index belongs to it.
 func SweepPlan(params sink.Params) *Plan {
 	fp := params.Fingerprint()
-	return &Plan{exp: sweepExp, unit: "trial", noun: "sweep", n: math.MaxInt, want: func(i int) sink.Record {
+	return &Plan{exp: SweepExp, unit: "trial", noun: "sweep", n: math.MaxInt, want: func(i int) sink.Record {
 		return sink.Record{Seed: sim.TrialSeed(params.SweepSeed, 0, i), Params: params, Fingerprint: fp}
 	}}
 }
 
 // PlanOf returns the plan of the record group name: an experiment's from
-// this build's grid or item list, and a configuration sweep's ("trials")
+// this build's grid or item list, and a configuration sweep's (SweepExp)
 // from the params most of recs carry — the producing configuration travels
 // only in the records — with a tie going to the larger fingerprint.
 func PlanOf(name string, recs []sink.Record) (*Plan, error) {
-	if name == sweepExp {
+	if name == SweepExp {
 		return SweepPlan(majorityParams(recs)), nil
 	}
-	if e, ok := experiments.GridExperimentByName(name); ok {
-		scenarios, _, err := e.Build()
+	e, err := experiments.ByName(name)
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	if g, ok := e.Grid(); ok {
+		scenarios, _, err := g.Build()
 		if err != nil {
 			return nil, err
 		}
 		return GridPlan(name, scenarios), nil
 	}
-	if e, ok := experiments.WorkExperimentByName(name); ok {
-		items, _, _, err := e.Build()
-		if err != nil {
-			return nil, err
-		}
-		return WorkPlan(name, items), nil
+	w, _ := e.Work()
+	items, _, _, err := w.Build()
+	if err != nil {
+		return nil, err
 	}
-	return nil, noExperiment(name)
-}
-
-// noExperiment reports a record group this build has no experiment for.
-func noExperiment(name string) error {
-	return fmt.Errorf("replay: no experiment %q in this build (grid: T1..T5, T8, A1, A2; work: T6, T7, T9, A3, M1)", name)
+	return WorkPlan(name, items), nil
 }
 
 // majorityParams returns the params most records carry. Ties go to the

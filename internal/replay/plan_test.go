@@ -44,12 +44,14 @@ func written(t *testing.T, spec jobs.Spec) []sink.Record {
 // rejects a foreign fingerprint, a reseeded record, an index outside the
 // plan, a record of another experiment, and a seed-schedule skew (typed).
 func TestPlansDecideTheirWritersRecords(t *testing.T) {
-	grid, _ := experiments.GridExperimentByName("T8")
+	t8, _ := experiments.ByName("T8")
+	grid, _ := t8.Grid()
 	scenarios, _, err := grid.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	work, _ := experiments.WorkExperimentByName("T9")
+	t9, _ := experiments.ByName("T9")
+	work, _ := t9.Work()
 	items, _, _, err := work.Build()
 	if err != nil {
 		t.Fatal(err)

@@ -49,28 +49,30 @@ func LoadFiles(paths ...string) (*Run, error) {
 // work renderer with their outcome digests. The rendered table is
 // byte-identical to the in-process run's.
 func RenderExperiment(name string, recs []sink.Record) (*experiments.Table, error) {
-	if e, ok := experiments.GridExperimentByName(name); ok {
-		_, results, render, err := mergeGrid(e, recs)
+	e, err := experiments.ByName(name)
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	if g, ok := e.Grid(); ok {
+		_, results, render, err := mergeGrid(g, recs)
 		if err != nil {
 			return nil, err
 		}
 		return render(results)
 	}
-	if e, ok := experiments.WorkExperimentByName(name); ok {
-		items, _, render, err := e.Build()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := WorkPlan(name, items).merge(recs); err != nil {
-			return nil, err
-		}
-		outs := make([]string, len(items))
-		for _, rec := range recs {
-			outs[rec.Index] = rec.Out
-		}
-		return render(outs)
+	w, _ := e.Work()
+	items, _, render, err := w.Build()
+	if err != nil {
+		return nil, err
 	}
-	return nil, noExperiment(name)
+	if _, err := WorkPlan(name, items).merge(recs); err != nil {
+		return nil, err
+	}
+	outs := make([]string, len(items))
+	for _, rec := range recs {
+		outs[rec.Index] = rec.Out
+	}
+	return render(outs)
 }
 
 // mergeGrid builds a grid experiment and merges its records through the

@@ -278,14 +278,15 @@ func renderBundle(v *Verification, res *engine.Result) string {
 // per-record through this path — their outcomes are not engine digests —
 // so they are rejected with a pointed error.
 func VerifyExperiment(name string, recs []sink.Record, sel Selector, bundle bool) ([]*Verification, error) {
-	e, ok := experiments.GridExperimentByName(name)
-	if !ok {
-		if _, isWork := experiments.WorkExperimentByName(name); isWork {
-			return nil, fmt.Errorf("replay: %s is a work-item experiment; its outcomes replay through 'replay' (render) and re-run through 'run', not per-seed verification", name)
-		}
-		return nil, noExperiment(name)
+	e, err := experiments.ByName(name)
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
 	}
-	scenarios, results, _, err := mergeGrid(e, recs)
+	g, ok := e.Grid()
+	if !ok {
+		return nil, fmt.Errorf("replay: %s is a work-item experiment; its outcomes replay through 'replay' (render) and re-run through 'run', not per-seed verification", name)
+	}
+	scenarios, results, _, err := mergeGrid(g, recs)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,13 @@
 //     bit for bit. Escape hatches (BuildProc, BuildLoss, BuildBehavior) let
 //     the experiment tables install bespoke automata and adversaries; they
 //     are factories invoked inside the running trial, never shared values,
-//     so trials stay independent.
+//     so trials stay independent; each receives its own copy of the
+//     scenario.
+//   - Each enumeration ([Algorithm], [CMMode], [LossMode]) has one name
+//     table: Name is the name a shard record carries, String the display
+//     name, and [ParseAlgorithm], [ParseCMMode] and [ParseLoss] read the
+//     flag spellings. The public API's Algorithm, ContentionMode and
+//     LossMode are aliases of these types, so no name is declared twice.
 //   - A sweep is a slice of scenarios built by plain loops: the
 //     experiment grids in internal/experiments, or the trial sweeps of the
 //     public Config.RunTrials (sweeprun -trials). Every trial carries its

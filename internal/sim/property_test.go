@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"adhocconsensus/internal/cm"
 	"adhocconsensus/internal/detector"
 	"adhocconsensus/internal/engine"
 	"adhocconsensus/internal/model"
@@ -36,11 +37,19 @@ func TestGeneratedSystemsSatisfyTheModel(t *testing.T) {
 		{AlgLeaderRelay, detector.ZeroOAC},
 	}
 	modes := []LossMode{LossNone, LossProbabilistic, LossCapture, LossDrop}
+	managers := []struct {
+		mode      CMMode
+		stabilize func(model.CMTrace) (int, error)
+	}{
+		{CMWakeUp, cm.WakeUpStabilization},
+		{CMLeader, cm.LeaderStabilization},
+	}
 	rng := seedstream.NewV1(20)
 	const systems = 400
-	bounded := 0
+	bounded, managed := 0, 0
 	for i := 0; i < systems; i++ {
 		a := algs[i%len(algs)]
+		mgr := managers[(i/(len(algs)*len(modes)))%len(managers)]
 		n := 2 + rng.Intn(5)
 		domain := uint64(2 + rng.Intn(31))
 		values := make([]model.Value, n)
@@ -55,6 +64,7 @@ func TestGeneratedSystemsSatisfyTheModel(t *testing.T) {
 			Detector:          a.class,
 			Race:              cst,
 			FalsePositiveRate: []float64{0, 0.1, 0.4}[rng.Intn(3)],
+			CM:                mgr.mode,
 			Stable:            cst,
 			Loss:              modes[(i/len(algs))%len(modes)],
 			LossP:             0.6 * rng.Float64(),
@@ -89,13 +99,20 @@ func TestGeneratedSystemsSatisfyTheModel(t *testing.T) {
 				t.Fatalf("system %d (%+v): %v\n%s", i, s, err, res.Execution)
 			}
 		}
+		lastCrash := 0
+		for _, c := range s.Crashes {
+			lastCrash = max(lastCrash, c.Round)
+		}
+		if stable := max(cst, lastCrash+1); res.Rounds >= stable {
+			managed++
+			if r, err := mgr.stabilize(res.Execution.CMTrace()); err != nil || r > stable {
+				t.Fatalf("system %d (%+v): %v advice stabilized at round %d (%v), want by round %d\n%s",
+					i, s, mgr.mode, r, err, stable, res.Execution)
+			}
+		}
 		var bound int
 		switch {
 		case a.alg == AlgTreeWalk:
-			lastCrash := 0
-			for _, c := range s.Crashes {
-				lastCrash = max(lastCrash, c.Round)
-			}
 			bound = lastCrash + 8*valueset.MustDomain(domain).Height() + 4
 		case s.ECFRound != cst || s.Crashes != nil:
 			continue
@@ -117,8 +134,8 @@ func TestGeneratedSystemsSatisfyTheModel(t *testing.T) {
 			}
 		}
 	}
-	if bounded == 0 {
-		t.Fatal("no generated system fell under a termination bound")
+	if bounded == 0 || managed == 0 {
+		t.Fatalf("%d generated systems fell under a termination bound and %d reached their manager's stabilization", bounded, managed)
 	}
-	t.Logf("%d of %d systems checked against a termination bound", bounded, systems)
+	t.Logf("%d of %d systems checked against a termination bound, %d against their manager's stabilization", bounded, systems, managed)
 }

@@ -16,7 +16,8 @@ import (
 	"adhocconsensus/internal/valueset"
 )
 
-// Algorithm names a consensus automaton family.
+// Algorithm names a consensus automaton family. Its names live in one
+// table (names.go): Name is the recorded name, String the display name.
 type Algorithm int
 
 // The algorithm families a Scenario can instantiate. AlgProposeNoVeto is
@@ -29,7 +30,7 @@ const (
 	AlgProposeNoVeto
 )
 
-// CMMode selects the contention manager.
+// CMMode selects the contention manager; Name is its recorded name.
 type CMMode int
 
 // Contention manager choices. The zero value CMAuto resolves to what the
@@ -43,7 +44,7 @@ const (
 )
 
 // LossMode selects the declarative channel model (ignored when BuildLoss is
-// set).
+// set); Name is its recorded name.
 type LossMode int
 
 // Channel loss models, matching the public API's enumeration.
@@ -201,8 +202,9 @@ func (s *Scenario) materialize(cfg *engine.Config, own *seeded) error {
 	}
 	switch {
 	case s.BuildProc != nil:
+		c := *s // a factory gets a copy, so s itself never escapes
 		for i := range s.Values {
-			procs[model.ProcessID(i+1)] = s.BuildProc(i, s)
+			procs[model.ProcessID(i+1)] = s.BuildProc(i, &c)
 		}
 	case s.Algorithm == AlgPropose:
 		for i, v := range s.Values {
@@ -250,7 +252,7 @@ func (s *Scenario) materialize(cfg *engine.Config, own *seeded) error {
 			procs[model.ProcessID(i+1)] = core.NewNonAnon(idSpace, domain, ids[i], v)
 		}
 	default:
-		return fmt.Errorf("sim: unknown algorithm %v", s.Algorithm)
+		return fmt.Errorf("sim: unknown algorithm %d", s.Algorithm)
 	}
 
 	det := s.buildDetector(own)
@@ -298,7 +300,8 @@ func (s *Scenario) buildDetector(own *seeded) *detector.Detector {
 	var behavior detector.Behavior = detector.Honest{}
 	switch {
 	case s.BuildBehavior != nil:
-		behavior = s.BuildBehavior(s)
+		c := *s
+		behavior = s.BuildBehavior(&c)
 	case s.FalsePositiveRate > 0:
 		behavior = detector.Noisy{P: s.FalsePositiveRate, Rng: reseed(&own.noiseDraws, s.Seed+2)}
 	}
@@ -341,7 +344,8 @@ func (s *Scenario) buildLoss(own *seeded) (loss.Adversary, error) {
 	v2 := seedstream.Normalize(s.SeedSchedule) == seedstream.V2
 	var base loss.Adversary
 	if s.BuildLoss != nil {
-		base = s.BuildLoss(s)
+		c := *s
+		base = s.BuildLoss(&c)
 	} else {
 		switch s.Loss {
 		case LossNone:

@@ -45,9 +45,21 @@ func ShardScenarios(scenarios []Scenario, shard, shards int) ([]Trial, error) {
 	if shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("sim: shard %d outside [0,%d)", shard, shards)
 	}
-	out := make([]Trial, 0, (len(scenarios)+shards-1)/shards)
-	for i := shard; i < len(scenarios); i += shards {
-		out = append(out, Trial{Index: i, Scenario: scenarios[i]})
+	out := make([]Trial, ShardLen(len(scenarios), shard, shards))
+	for k := range out {
+		i := shard + k*shards
+		out[k] = Trial{Index: i, Scenario: scenarios[i]}
 	}
 	return out, nil
+}
+
+// ShardLen is how many of the indices 0..total-1 fall to shard of shards
+// (shard ≥ 0, shards ≥ 1): those congruent to shard mod shards. The k-th
+// of them is shard + k·shards. It is exact for every total, MaxInt
+// included, where the textbook (total-shard+shards-1)/shards overflows.
+func ShardLen(total, shard, shards int) int {
+	if shard >= total {
+		return 0
+	}
+	return (total-shard-1)/shards + 1
 }

@@ -197,3 +197,34 @@ func TestWorkerTrialAllocations(t *testing.T) {
 		})
 	}
 }
+
+// TestOneShotTrialAllocations bounds a one-shot full-trace trial, the
+// replay path's unit of work: sim.Run must not copy its Scenario to the
+// heap (materialize hands the Build* factories a copy of their own).
+func TestOneShotTrialAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are noise under the race detector (sync.Pool drops puts)")
+	}
+	s := Scenario{
+		Algorithm: AlgBitByBit,
+		Values:    []model.Value{1, 7920, 15839, 23758},
+		Race:      8,
+		Stable:    8,
+		ECFRound:  8,
+		Loss:      LossProbabilistic,
+		LossP:     0.3,
+		Trace:     engine.TraceFull,
+		Seed:      TrialSeed(1, 0, 3),
+	}
+	run := func() {
+		r, res := RunTrialFull(3, s)
+		if r.Err != nil || !r.AllDecided {
+			t.Fatalf("trial: %+v", r)
+		}
+		res.Execution.Release()
+	}
+	run() // warm the arena and receive-set pools
+	if allocs := testing.AllocsPerRun(100, run); allocs > 36 {
+		t.Fatalf("a one-shot full-trace trial allocates %.1f objects, want at most 36", allocs)
+	}
+}

@@ -82,60 +82,6 @@ func (p Params) SeedScheduleVersion() int {
 	return 1
 }
 
-// algName mirrors the sim.Algorithm enumeration.
-func algName(a sim.Algorithm) string {
-	switch a {
-	case sim.AlgPropose:
-		return "propose"
-	case sim.AlgBitByBit:
-		return "bitbybit"
-	case sim.AlgTreeWalk:
-		return "treewalk"
-	case sim.AlgLeaderRelay:
-		return "leaderrelay"
-	case sim.AlgProposeNoVeto:
-		return "propose-noveto"
-	case 0:
-		return ""
-	default:
-		return fmt.Sprintf("alg(%d)", int(a))
-	}
-}
-
-// cmName mirrors the sim.CMMode enumeration.
-func cmName(m sim.CMMode) string {
-	switch m {
-	case sim.CMAuto:
-		return "auto"
-	case sim.CMWakeUp:
-		return "wakeup"
-	case sim.CMLeader:
-		return "leader"
-	case sim.CMBackoff:
-		return "backoff"
-	case sim.CMNone:
-		return "none"
-	default:
-		return fmt.Sprintf("cm(%d)", int(m))
-	}
-}
-
-// lossName mirrors the sim.LossMode enumeration.
-func lossName(m sim.LossMode) string {
-	switch m {
-	case sim.LossNone:
-		return "none"
-	case sim.LossProbabilistic:
-		return "prob"
-	case sim.LossCapture:
-		return "capture"
-	case sim.LossDrop:
-		return "drop"
-	default:
-		return fmt.Sprintf("loss(%d)", int(m))
-	}
-}
-
 // crashDigest renders a crash schedule canonically: sorted by process.
 func crashDigest(s model.Schedule) string {
 	if len(s) == 0 {
@@ -184,16 +130,16 @@ func ParamsOf(s sim.Scenario) Params {
 		det = s.Detector.Name
 	}
 	p := Params{
-		Algorithm: algName(s.Algorithm),
+		Algorithm: s.Algorithm.Name(),
 		N:         len(s.Values),
 		Domain:    s.Domain,
 		IDSpace:   s.IDSpace,
 		Detector:  det,
 		Race:      s.Race,
 		FPRate:    s.FalsePositiveRate,
-		CM:        cmName(s.CM),
+		CM:        s.CM.Name(),
 		Stable:    s.Stable,
-		Loss:      lossName(s.Loss),
+		Loss:      s.Loss.Name(),
 		LossP:     s.LossP,
 		ECFRound:  s.ECFRound,
 		MaxRounds: s.MaxRounds,
