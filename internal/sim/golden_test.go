@@ -8,6 +8,7 @@ import (
 
 	"adhocconsensus/internal/detector"
 	"adhocconsensus/internal/engine"
+	"adhocconsensus/internal/loss"
 	"adhocconsensus/internal/model"
 	"adhocconsensus/internal/valueset"
 )
@@ -120,5 +121,74 @@ func TestCrashDigestGolden(t *testing.T) {
 	const want = "3a7cda43f3c0ac7a82ffd9952f3bfdd6406c0633b2f353e587aa9b9c3646e47f"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("the Results of %d crash trials changed: sha256 %s, recorded %s", len(scs), got, want)
+	}
+}
+
+// denseTraceCase is one n=64 full-trace Alg 2 run of TestDenseTraceGolden
+// and the sha256 of its Execution.WriteJSON.
+type denseTraceCase struct {
+	name string
+	loss LossMode
+	plan bool // a Plan-only adversary from BuildLoss instead of loss
+	seed int64
+	want string
+}
+
+// TestDenseTraceGolden pins whole dense executions, every view of every
+// round, on the three ways the engine reads a loss row: the v1
+// probabilistic and capture matrices, and a Plan-only adversary (a
+// loss.Func over a v1 Probabilistic) that the engine asks per pair. The
+// Plan-only runs draw the same losses as the matrix runs, so they pin the
+// same bytes. With sixty-four distinct values a first-round receive set
+// holds up to 52 distinct messages, past the compact multiset's 16; later
+// rounds repeat one or two.
+func TestDenseTraceGolden(t *testing.T) {
+	for _, tc := range []denseTraceCase{
+		{"prob/1", LossProbabilistic, false, 1, "1b37619453f1f7014f7583ba2a85cc0ea5e953e079f47dafddb32f5ceec7400e"},
+		{"prob/2", LossProbabilistic, false, 2, "de4c43ae0a3e198f4e9393ffede52e470f75aead4452a4bcfcda9b67aa4c2508"},
+		{"prob/3", LossProbabilistic, false, 3, "7598f93a2eba8e470e323a83993fdb8398f3d1fda444479864ad4afc251ca3a5"},
+		{"capture/1", LossCapture, false, 1, "09119563d38a5e202209da67c783f703cf9fa4d0c3a30905f94b27d99d0876a8"},
+		{"capture/2", LossCapture, false, 2, "df017f21b012abb6bc72c70dbd7756af3385584b8d82c512a7c8fce0bfa45d5a"},
+		{"capture/3", LossCapture, false, 3, "d63a8e71d084e74f8c1b6ebe39bc1a6b49108b41085079c15adbc5b5553b4aea"},
+		{"planonly/1", LossNone, true, 1, "1b37619453f1f7014f7583ba2a85cc0ea5e953e079f47dafddb32f5ceec7400e"},
+		{"planonly/2", LossNone, true, 2, "de4c43ae0a3e198f4e9393ffede52e470f75aead4452a4bcfcda9b67aa4c2508"},
+		{"planonly/3", LossNone, true, 3, "7598f93a2eba8e470e323a83993fdb8398f3d1fda444479864ad4afc251ca3a5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			values := make([]model.Value, 64)
+			for i := range values {
+				values[i] = model.Value((i*7919 + 1) % 65536)
+			}
+			s := Scenario{
+				Algorithm:    AlgBitByBit,
+				Values:       values,
+				Domain:       65536,
+				Race:         16,
+				Stable:       16,
+				ECFRound:     16,
+				Loss:         tc.loss,
+				LossP:        0.3,
+				Trace:        engine.TraceFull,
+				Seed:         tc.seed,
+				SeedSchedule: 1,
+			}
+			if tc.plan {
+				s.BuildLoss = func(s *Scenario) loss.Adversary {
+					return loss.Func(loss.NewProbabilistic(s.LossP, s.Seed+4).Plan)
+				}
+			}
+			r, res := RunTrialFull(0, s)
+			if r.Err != nil || !r.AllDecided {
+				t.Fatalf("trial: %+v", r)
+			}
+			defer res.Execution.Release()
+			h := sha256.New()
+			if err := res.Execution.WriteJSON(h); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Fatalf("the %d-round execution changed: sha256 %s, recorded %s", r.Rounds, got, tc.want)
+			}
+		})
 	}
 }
