@@ -478,6 +478,31 @@ func (c Config) StreamTrialsContext(ctx context.Context, trials, workers, shard,
 	return c.StreamTrialsFrom(ctx, trials, workers, shard, shards, 0, out)
 }
 
+// CheckTrials reports the configuration error StreamTrials would return
+// before running any trial, and nil for a configuration whose trials can
+// run: a planner (sweepd's admission, sweeprun's plan) calls it to refuse a
+// sweep before creating its output.
+func (c Config) CheckTrials() error {
+	_, err := c.trialsBase()
+	return err
+}
+
+// trialsBase returns the decisions-only scenario every trial of a sweep
+// starts from, checked once up front (Scenario.Check finds every error
+// Materialize would) so that configuration errors surface with the public
+// prefix instead of wrapped in per-trial sweep context.
+func (c Config) trialsBase() (sim.Scenario, error) {
+	c.TraceDecisionsOnly = true
+	base, err := c.toScenario()
+	if err != nil {
+		return sim.Scenario{}, err
+	}
+	if err := base.Check(); err != nil {
+		return sim.Scenario{}, apiErr(err)
+	}
+	return base, nil
+}
+
 // StreamTrialsFrom is StreamTrialsContext resuming at the shard's skip-th
 // trial: the first skip trials of the shard — ascending global indices
 // congruent to shard mod shards — are assumed durable (typically salvaged
@@ -502,15 +527,9 @@ func (c Config) StreamTrialsFrom(ctx context.Context, trials, workers, shard, sh
 	if skip < 0 {
 		skip = 0
 	}
-	c.TraceDecisionsOnly = true
-	base, err := c.toScenario()
+	base, err := c.trialsBase()
 	if err != nil {
 		return err
-	}
-	// Validate once up front: configuration errors surface here with the
-	// public prefix instead of wrapped in per-trial sweep context.
-	if _, err := base.Materialize(); err != nil {
-		return apiErr(err)
 	}
 	baseParams := sink.ParamsOf(base)
 	baseParams.SweepSeed = c.Seed // part of a sweep's identity, unlike trial seeds

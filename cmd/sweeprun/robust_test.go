@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -311,6 +312,29 @@ func TestInterruptThenResumeByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(resumed, golden) {
 		t.Fatal("interrupt + resume differs from the uninterrupted run")
+	}
+}
+
+// TestRunRefusesUnrunnableTrialsConfig: a -trials configuration whose
+// flags parse but whose trials cannot run (an unknown seed schedule, a
+// value outside the domain) is refused while planning, with the usage
+// code, before the shard file or its run report exists.
+func TestRunRefusesUnrunnableTrialsConfig(t *testing.T) {
+	for _, config := range [][]string{
+		{"-schedule", "7"},
+		{"-values", "9", "-domain", "4"},
+	} {
+		out := filepath.Join(t.TempDir(), "x.jsonl")
+		args := append([]string{"run", "-trials", "5", "-o", out}, config...)
+		err := runCLI(args, io.Discard)
+		if code := cli.ExitCodeOf(err); err == nil || code != cli.ExitUsage {
+			t.Fatalf("%q: exit code %d (%v), want %d", config, code, err, cli.ExitUsage)
+		}
+		for _, p := range []string{out, out + ".report.json"} {
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Fatalf("%q left %s behind (stat: %v)", config, filepath.Base(p), err)
+			}
+		}
 	}
 }
 

@@ -51,6 +51,18 @@ func New(seed int64) *Manager {
 	}
 }
 
+// Reset returns the manager to the state New(seed) builds, in place: the
+// generator is reseeded (it then draws exactly what a new one would), and
+// the windows, the advised list and the winner are cleared, keeping their
+// storage. A sweep worker resets one manager per trial instead of building
+// one.
+func (m *Manager) Reset(seed int64) {
+	m.rng.Seed(seed)
+	clear(m.window)
+	m.advised = m.advised[:0]
+	m.winner, m.haveWinner = 0, false
+}
+
 // Stabilized reports whether the manager has locked in a single active
 // process, and which.
 func (m *Manager) Stabilized() (model.ProcessID, bool) { return m.winner, m.haveWinner }

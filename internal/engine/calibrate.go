@@ -99,7 +99,7 @@ func measureCalibration() Calibration {
 
 // measureBarrier times an empty dispatch+join cycle of a workers-wide pool.
 func measureBarrier(workers int) float64 {
-	pool := newShardPool(workers, func(int, int) {})
+	pool := newShardPool(workers, func(int, int, int) {})
 	defer pool.Close()
 	for i := 0; i < 8; i++ {
 		pool.Run(workers) // warm up scheduling and the worker goroutines

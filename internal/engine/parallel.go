@@ -14,7 +14,7 @@ package engine
 // the dispatching goroutine — where the sweep layer's per-trial recovery
 // quarantines it like any same-goroutine panic.
 type shardPool struct {
-	fn   func(lo, hi int)
+	fn   func(w, lo, hi int)
 	req  []chan shard
 	done chan *PanicError
 
@@ -29,9 +29,10 @@ type shardPool struct {
 type shard struct{ lo, hi int }
 
 // newShardPool starts `workers` goroutines that each execute fn over the
-// shards Run hands them. fn must be safe to call concurrently on disjoint
-// index ranges. Call Close to release the goroutines.
-func newShardPool(workers int, fn func(lo, hi int)) *shardPool {
+// shards Run hands them; fn's w is the shard's number, in [0, workers), so
+// fn may keep per-shard scratch. fn must be safe to call concurrently on
+// disjoint index ranges. Call Close to release the goroutines.
+func newShardPool(workers int, fn func(w, lo, hi int)) *shardPool {
 	if workers < 1 {
 		workers = 1
 	}
@@ -45,7 +46,7 @@ func newShardPool(workers int, fn func(lo, hi int)) *shardPool {
 		p.req[w] = c
 		go func() {
 			for s := range c {
-				p.done <- p.call(s)
+				p.done <- p.call(w, s)
 			}
 		}()
 	}
@@ -54,13 +55,13 @@ func newShardPool(workers int, fn func(lo, hi int)) *shardPool {
 
 // call runs one shard, converting a panic into its barrier message. A nil
 // return is the common case and sends no allocation over the channel.
-func (p *shardPool) call(s shard) (pe *PanicError) {
+func (p *shardPool) call(w int, s shard) (pe *PanicError) {
 	defer func() {
 		if v := recover(); v != nil {
 			pe = NewPanicError(v)
 		}
 	}()
-	p.fn(s.lo, s.hi)
+	p.fn(w, s.lo, s.hi)
 	return nil
 }
 

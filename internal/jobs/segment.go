@@ -147,10 +147,15 @@ type resultSinkFunc func(sim.Result) error
 func (f resultSinkFunc) Consume(r sim.Result) error { return f(r) }
 
 // TrialsSegment plans one configuration-sweep shard through the public
-// streaming API.
+// streaming API. A configuration whose trials cannot run is refused here,
+// by the check the stream would make before its first trial, so no output
+// is created for it.
 func TrialsSegment(cf *cli.ConfigFlags, trials, shard, shards, workers int, timeout time.Duration) (Segment, error) {
 	cfg, err := cf.Config()
 	if err != nil {
+		return Segment{}, err
+	}
+	if err := cfg.CheckTrials(); err != nil {
 		return Segment{}, err
 	}
 	cfg.TrialTimeout = timeout

@@ -110,8 +110,21 @@ func TestSupervisorSubmitRejectsBadSpecs(t *testing.T) {
 	if _, err := s.Submit(jobs.Spec{Exps: []string{"T99"}, Out: "x"}); err == nil {
 		t.Fatal("unknown experiment admitted")
 	}
-	if got := telemetry.Jobs().Rejected.Load() - rejBase; got != 2 {
-		t.Fatalf("rejected counter moved by %d, want 2", got)
+	// Flags that parse but configure trials that cannot run: an unknown
+	// seed schedule, and a value outside the domain.
+	for _, config := range [][]string{
+		{"-schedule", "7"},
+		{"-values", "9", "-domain", "4"},
+	} {
+		if _, err := s.Submit(jobs.Spec{Trials: 5, Config: config, Out: "x"}); err == nil {
+			t.Fatalf("trials config %q admitted", config)
+		}
+	}
+	if got := telemetry.Jobs().Rejected.Load() - rejBase; got != 4 {
+		t.Fatalf("rejected counter moved by %d, want 4", got)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused specs created jobs: %+v", jobs)
 	}
 }
 

@@ -498,9 +498,12 @@ func TestQuickAppendPairsPreservesMultiset(t *testing.T) {
 
 // FuzzMultisetOps drives a Multiset[uint8] and a map model through the same
 // script and requires them to agree after every operation. Each operation
-// takes two bytes: the first picks the operation (and AddN's count), the
-// second the element, from more values than the compact form holds, so
-// scripts spill, Reset, and spill again over a stale spare map.
+// takes two bytes: the first picks the operation (and the count of AddN and
+// AddNew), the second the element, from more values than the compact form
+// holds, so scripts spill, Reset, and spill again over a stale spare map.
+// AddNew is drawn only for an element the model lacks (for one it holds,
+// the op is an Add), so a script can grow the compact array past smallLimit
+// and then meet it with keyed operations.
 func FuzzMultisetOps(f *testing.F) {
 	for _, distinct := range []int{0, smallLimit, smallLimit + 1, 40} {
 		var script []byte
@@ -513,20 +516,44 @@ func FuzzMultisetOps(f *testing.F) {
 		}
 		f.Add(script)
 	}
+	// AddNew past smallLimit, then keyed operations on the long compact
+	// array (Remove, Add of a held and of a new element), a Reset and a
+	// refill through both inserts.
+	for _, distinct := range []int{smallLimit, smallLimit + 1, 40} {
+		for _, keyed := range []byte{opRemove, opAdd, opAddN + numOps} {
+			var script []byte
+			for e := 0; e < distinct; e++ {
+				script = append(script, opAddNew+numOps*byte(1+e%3), byte(e))
+			}
+			script = append(script, keyed, byte(distinct/2), keyed, 39, opRemove, 0)
+			script = append(script, opReset, 0)
+			for e := 0; e < distinct; e++ {
+				script = append(script, opAddNew+numOps, byte(39-e), opAdd, byte(e))
+			}
+			f.Add(script)
+		}
+	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		m := New[uint8]()
 		want := map[uint8]int{}
 		for i := 0; i+1 < len(script); i += 2 {
 			op, e := script[i]%numOps, script[i+1]%40
+			n := int(script[i] / numOps % 4)
 			switch op {
 			case opAdd:
 				m.Add(e)
 				want[e]++
 			case opAddN:
-				n := int(script[i] / numOps % 4)
 				m.AddN(e, n)
 				if n > 0 {
 					want[e] += n
+				}
+			case opAddNew:
+				if want[e] > 0 {
+					m.Add(e)
+					want[e]++
+				} else if m.AddNew(e, n); n > 0 {
+					want[e] = n
 				}
 			case opRemove:
 				if got := m.Remove(e); got != (want[e] > 0) {
@@ -551,6 +578,7 @@ const (
 	opAddN
 	opRemove
 	opReset
+	opAddNew
 	numOps
 )
 

@@ -170,9 +170,16 @@ func (s *Scenario) Materialize() (*engine.Config, error) {
 	return cfg, nil
 }
 
+// Check reports the error Materialize would return, without constructing
+// the automata: the values, domain, IDs, algorithm, detector, manager and
+// loss are checked exactly as Materialize checks them.
+func (s *Scenario) Check() error {
+	return s.materialize(nil, new(seeded))
+}
+
 // materialize is Materialize writing into cfg, with the seeded components
 // taken from own: an empty set for Materialize, a sweep worker's own set
-// for its trials.
+// for its trials. A nil cfg only checks the scenario (Check).
 func (s *Scenario) materialize(cfg *engine.Config, own *seeded) error {
 	if len(s.Values) == 0 {
 		return fmt.Errorf("sim: Values must be non-empty")
@@ -195,33 +202,21 @@ func (s *Scenario) materialize(cfg *engine.Config, own *seeded) error {
 		}
 	}
 
-	procs := make(map[model.ProcessID]model.Automaton, len(s.Values))
-	initial := make(map[model.ProcessID]model.Value, len(s.Values))
-	for i, v := range s.Values {
-		initial[model.ProcessID(i+1)] = v
-	}
+	// newProc builds process i's automaton once the switch has checked the
+	// algorithm's parameters.
+	var newProc func(i int, v model.Value) model.Automaton
 	switch {
 	case s.BuildProc != nil:
 		c := *s // a factory gets a copy, so s itself never escapes
-		for i := range s.Values {
-			procs[model.ProcessID(i+1)] = s.BuildProc(i, &c)
-		}
+		newProc = func(i int, _ model.Value) model.Automaton { return s.BuildProc(i, &c) }
 	case s.Algorithm == AlgPropose:
-		for i, v := range s.Values {
-			procs[model.ProcessID(i+1)] = core.NewAlg1(v)
-		}
+		newProc = func(_ int, v model.Value) model.Automaton { return core.NewAlg1(v) }
 	case s.Algorithm == AlgProposeNoVeto:
-		for i, v := range s.Values {
-			procs[model.ProcessID(i+1)] = core.NewAlg1NoVeto(v)
-		}
+		newProc = func(_ int, v model.Value) model.Automaton { return core.NewAlg1NoVeto(v) }
 	case s.Algorithm == AlgBitByBit:
-		for i, v := range s.Values {
-			procs[model.ProcessID(i+1)] = core.NewAlg2(domain, v)
-		}
+		newProc = func(_ int, v model.Value) model.Automaton { return core.NewAlg2(domain, v) }
 	case s.Algorithm == AlgTreeWalk:
-		for i, v := range s.Values {
-			procs[model.ProcessID(i+1)] = core.NewAlg3(domain, v)
-		}
+		newProc = func(_ int, v model.Value) model.Automaton { return core.NewAlg3(domain, v) }
 	case s.Algorithm == AlgLeaderRelay:
 		idSpaceSize := s.IDSpace
 		if idSpaceSize == 0 {
@@ -248,21 +243,25 @@ func (s *Scenario) materialize(cfg *engine.Config, own *seeded) error {
 			}
 			seen[id] = true
 		}
-		for i, v := range s.Values {
-			procs[model.ProcessID(i+1)] = core.NewNonAnon(idSpace, domain, ids[i], v)
-		}
+		newProc = func(i int, v model.Value) model.Automaton { return core.NewNonAnon(idSpace, domain, ids[i], v) }
 	default:
 		return fmt.Errorf("sim: unknown algorithm %d", s.Algorithm)
 	}
 
 	det := s.buildDetector(own)
-	manager, err := s.buildCM()
+	manager, err := s.buildCM(own)
 	if err != nil {
 		return err
 	}
 	adversary, err := s.buildLoss(own)
-	if err != nil {
+	if err != nil || cfg == nil {
 		return err
+	}
+	procs := make(map[model.ProcessID]model.Automaton, len(s.Values))
+	initial := make(map[model.ProcessID]model.Value, len(s.Values))
+	for i, v := range s.Values {
+		procs[model.ProcessID(i+1)] = newProc(i, v)
+		initial[model.ProcessID(i+1)] = v
 	}
 	*cfg = engine.Config{
 		Procs:           procs,
@@ -309,7 +308,7 @@ func (s *Scenario) buildDetector(own *seeded) *detector.Detector {
 }
 
 // buildCM resolves the contention manager.
-func (s *Scenario) buildCM() (cm.Service, error) {
+func (s *Scenario) buildCM(own *seeded) (cm.Service, error) {
 	stable := s.Stable
 	if stable == 0 {
 		stable = 1
@@ -328,7 +327,7 @@ func (s *Scenario) buildCM() (cm.Service, error) {
 	case CMLeader:
 		return cm.NewLeaderElection(stable), nil
 	case CMBackoff:
-		return backoff.New(s.Seed + 3), nil
+		return own.backoff(s.Seed + 3), nil
 	case CMNone:
 		return cm.NoCM{}, nil
 	default:
@@ -371,21 +370,33 @@ func (s *Scenario) buildLoss(own *seeded) (loss.Adversary, error) {
 }
 
 // seeded holds the seeded components that materialize builds from the
-// declarative modes: the Probabilistic and Capture adversaries, the noisy
-// detector's generator and LeaderRelay's default-ID generator, each
-// constructed on first use. A sweep worker keeps one set for the whole
-// sweep, so the adversaries' loss matrices and scratch keep their grown
-// capacity. A trial that uses a component sets every parameter and
-// reseeds its v1 generator in place with rand.Rand.Seed, which leaves it
-// drawing exactly what a new seedstream.NewV1 would, so nothing one trial
-// drew or planned reaches the next. From an empty set the same calls
-// construct the components that NewProbabilistic, NewCapture and their V2
-// forms would.
+// declarative modes: the Probabilistic and Capture adversaries, the backoff
+// contention manager, the noisy detector's generator and LeaderRelay's
+// default-ID generator, each constructed on first use. A sweep worker
+// keeps one set for the whole sweep, so the adversaries' loss matrices and
+// scratch and the manager's window map keep their grown capacity. A trial
+// that uses a component sets every parameter and reseeds its v1 generator
+// in place with rand.Rand.Seed, which leaves it drawing exactly what a new
+// seedstream.NewV1 would, so nothing one trial drew or planned reaches the
+// next. From an empty set the same calls construct the components that
+// NewProbabilistic, NewCapture, their V2 forms and backoff.New would.
 type seeded struct {
 	prob       *loss.Probabilistic
 	capt       *loss.Capture
+	backoffCM  *backoff.Manager
 	noiseDraws *rand.Rand
 	idDraws    *rand.Rand
+}
+
+// backoff returns the backoff contention manager drawing from seed, reset
+// in place or built on first use.
+func (o *seeded) backoff(seed int64) *backoff.Manager {
+	if o.backoffCM == nil {
+		o.backoffCM = backoff.New(seed)
+	} else {
+		o.backoffCM.Reset(seed)
+	}
+	return o.backoffCM
 }
 
 // reseed sets *rng to the v1 generator for seed, reseeding it in place or

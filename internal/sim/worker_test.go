@@ -145,7 +145,9 @@ func TestWorkerReuseMatchesFresh(t *testing.T) {
 // flat values with no per-round state on the heap, so they allocate the
 // same, except that Alg 3 boxes no manager (NoCM is zero-sized) and no ECF
 // wrapper (drop loss), and LeaderRelay adds its IDs slice, drawn from a
-// generator the worker reseeds in place.
+// generator the worker reseeds in place. Alg 2 under the backoff manager
+// allocates 12 (20 when each trial built its own): the worker resets one
+// manager in place, and its pointer needs no interface box.
 func TestWorkerTrialAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are noise under the race detector (sync.Pool drops puts)")
@@ -156,13 +158,15 @@ func TestWorkerTrialAllocations(t *testing.T) {
 		domain    uint64
 		idSpace   uint64
 		loss      LossMode
+		cm        CMMode
 		maxAllocs float64
 	}{
-		{"bitbybit", AlgBitByBit, 0, 0, LossProbabilistic, 13},
-		{"propose", AlgPropose, 0, 0, LossProbabilistic, 13},
-		{"treewalk", AlgTreeWalk, 1 << 16, 0, LossDrop, 11},
-		{"leaderrelay-plain", AlgLeaderRelay, 0, 0, LossProbabilistic, 14},
-		{"leaderrelay-election", AlgLeaderRelay, 1 << 16, 16, LossProbabilistic, 14},
+		{"bitbybit", AlgBitByBit, 0, 0, LossProbabilistic, CMAuto, 13},
+		{"bitbybit-backoff", AlgBitByBit, 0, 0, LossProbabilistic, CMBackoff, 14},
+		{"propose", AlgPropose, 0, 0, LossProbabilistic, CMAuto, 13},
+		{"treewalk", AlgTreeWalk, 1 << 16, 0, LossDrop, CMAuto, 11},
+		{"leaderrelay-plain", AlgLeaderRelay, 0, 0, LossProbabilistic, CMAuto, 14},
+		{"leaderrelay-election", AlgLeaderRelay, 1 << 16, 16, LossProbabilistic, CMAuto, 14},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := Scenario{
@@ -174,6 +178,7 @@ func TestWorkerTrialAllocations(t *testing.T) {
 				Stable:       8,
 				Loss:         tc.loss,
 				LossP:        0.3,
+				CM:           tc.cm,
 				Crashes:      model.Schedule{},
 				Trace:        engine.TraceDecisionsOnly,
 				SeedSchedule: 1,
