@@ -47,14 +47,17 @@
 //     halted/decided flags) by a sorted process table built once per
 //     run — no per-round maps;
 //   - compact multisets: receive sets use a slice-backed small
-//     representation, spilling to a map only in a round that holds more
-//     than 16 distinct messages: Reset returns a set to the compact form
-//     and keeps the map as a spare for the next spill. Sets reset in place
-//     and are recycled through a sync.Pool across rounds and runs;
+//     representation. The engine numbers each round's distinct messages
+//     once and fills a set with one multiset.AddNew per message it heard
+//     (no scan, no hash), so a set stays compact at any size; the map is
+//     built only when AddN adds a new element to a set already holding 16,
+//     and Reset keeps it as a spare. Sets reset in place and are recycled
+//     through a sync.Pool across rounds and runs;
 //   - loss rows: the built-in adversaries hand the engine each round's
-//     loss matrix (loss.ConcurrentPlanner.PlanRows), and the delivery loop
-//     reads each receiver's row by index, with no call per
-//     (receiver, sender) pair;
+//     loss matrix (loss.ConcurrentPlanner.PlanRows), and each receiver
+//     reads its row by index in one branch-free pass that counts the
+//     senders it hears by message, with no call per (receiver, sender)
+//     pair;
 //   - trace modes: Config.TraceDecisionsOnly (engine.TraceDecisionsOnly
 //     internally) skips recording per-round views entirely for callers
 //     that only read decisions — the default for the experiment tables —
@@ -94,6 +97,13 @@
 //	seed (full trace)         5749         9589
 //	full trace                1402           49   (4.1× / 196×)
 //	decisions only            1185           38   (4.9× / 252×)
+//
+// On the shared 2-core Xeon box (go1.24.0, 20 runs per row, w=1), counting
+// each receiver's row by message class took n=256 rounds from 0.57 to
+// 0.28 ms decisions-only and from 0.73 to 0.44 ms at full trace, and n=64
+// from 37 to 19 µs and from 51 to 31 µs. Allocs/run did not rise: at
+// n=256 they read 295 decisions-only (296 before) and 336 at full trace,
+// and at n=8 35 and 46.
 //
 // BENCH_baseline.json records the full benchmark suite; regenerate it with
 // go test -run '^$' -bench . -benchmem. BENCH_pr2.json snapshots the suite
